@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-update chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check clean
+.PHONY: build test lint lint-update chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check perf-smoke clean
 
 build:
 	dune build
@@ -94,6 +94,16 @@ bench-check: build
 	-dune exec bench/compare.exe -- --only wall \
 	  BENCH_crypto.json _build/bench-current/BENCH_crypto.json \
 	  BENCH_sim.json _build/bench-current/BENCH_sim.json
+
+# perfbench as a correctness gate: a short run of each of the four
+# workloads, failing on a non-zero exit. Each run checks its own outputs —
+# recovered root bit-identical (ingest), tcp root = in-process root,
+# roll-call roots = the jobs-1 reference, supervise violations = [] — so
+# this gates on them; the timings it prints are not compared.
+perf-smoke:
+	for w in ingest tcp rollcall supervise; do \
+	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -82,8 +82,11 @@ module Mem = struct
   type op = Set of Bytes.t | Append of Bytes.t
 
   type entry = {
-    mutable synced : Bytes.t option;  (* None: absent in the durable state *)
-    mutable ops : op list;  (* newest first *)
+    (* The durable bytes, extended in place by [sync]: a commit costs its
+       batch, not the whole file so far. Meaningful only when [present]. *)
+    durable : Buffer.t;
+    mutable present : bool;  (* false: absent in the durable state *)
+    mutable ops : op list;  (* unsynced, newest first *)
   }
 
   type store = {
@@ -112,40 +115,37 @@ module Mem = struct
     match List.assoc_opt name st.files with
     | Some e -> e
     | None ->
-        let e = { synced = None; ops = [] } in
+        let e = { durable = Buffer.create 256; present = false; ops = [] } in
         st.files <- st.files @ [ (name, e) ];
         e
+
+  (* A file exists when it has synced bytes or any unsynced op. *)
+  let exists e = e.present || e.ops <> []
 
   (* The file as a normal (crash-free) reader sees it: synced base plus
      every unsynced op in order. *)
   let view e =
-    List.fold_left
-      (fun cur op ->
-        match op with
-        | Set b -> Some (Bytes.copy b)
-        | Append b -> (
-            match cur with
-            | None -> Some (Bytes.copy b)
-            | Some c -> Some (Bytes.cat c b)))
-      (Option.map Bytes.copy e.synced)
-      (List.rev e.ops)
-
-  let exists e = view e <> None
+    if not (exists e) then None
+    else begin
+      let buf = Buffer.create (Buffer.length e.durable) in
+      Buffer.add_buffer buf e.durable;
+      List.iter
+        (function
+          | Set b ->
+              Buffer.clear buf;
+              Buffer.add_bytes buf b
+          | Append b -> Buffer.add_bytes buf b)
+        (List.rev e.ops);
+      Some (Buffer.to_bytes buf)
+    end
 
   let bernoulli rng p = p > 0.0 && Ra_sim.Prng.float rng < p
 
-  (* Resolve one file's unsynced ops under the fault mix. An op after a
-     dropped or torn one never lands: the write queue was cut there.
-     One growable buffer, not Bytes.cat per op — a WAL commit must cost
-     the batch, not the whole file so far. *)
+  (* Resolve one file's unsynced ops under the fault mix, into the durable
+     buffer in place. An op after a dropped or torn one never lands: the
+     write queue was cut there. *)
   let resolve ?(faults = no_faults) ?rng e =
-    let buf = Buffer.create 256 in
-    let present = ref false in
-    (match e.synced with
-    | Some b ->
-        Buffer.add_bytes buf b;
-        present := true
-    | None -> ());
+    let buf = e.durable in
     (* start of the appended-since-last-Set region (duplicate_tail only
        replays bytes from the unsynced appended suffix) *)
     let app_start = ref (Buffer.length buf) in
@@ -162,21 +162,21 @@ module Mem = struct
           | Set b, Some rng when bernoulli rng faults.tear_write ->
               Buffer.clear buf;
               Buffer.add_bytes buf (prefix rng b);
-              present := true;
+              e.present <- true;
               app_start := Buffer.length buf;
               stopped := true
           | Set b, _ ->
               Buffer.clear buf;
               Buffer.add_bytes buf b;
-              present := true;
+              e.present <- true;
               app_start := Buffer.length buf
           | Append b, Some rng when bernoulli rng faults.tear_write ->
               Buffer.add_bytes buf (prefix rng b);
-              present := true;
+              e.present <- true;
               stopped := true
           | Append b, _ ->
               Buffer.add_bytes buf b;
-              present := true)
+              e.present <- true)
       (List.rev e.ops);
     (match rng with
     | Some rng
@@ -184,9 +184,8 @@ module Mem = struct
         let tail = Buffer.sub buf !app_start (Buffer.length buf - !app_start) in
         let n = String.length tail in
         let start = Ra_sim.Prng.int rng ~bound:n in
-        Buffer.add_string buf (String.sub tail start (n - start))
+        Buffer.add_substring buf tail start (n - start)
     | _ -> ());
-    e.synced <- (if !present then Some (Buffer.to_bytes buf) else None);
     e.ops <- []
 
   let disk st =
@@ -251,10 +250,10 @@ module Mem = struct
       (List.rev st.pending);
     st.pending <- [];
     (* files that never became durable are gone *)
-    st.files <- List.filter (fun (_, e) -> e.synced <> None) st.files
+    st.files <- List.filter (fun (_, e) -> e.present) st.files
 
   let synced_length st name =
     match List.assoc_opt name st.files with
-    | Some { synced = Some b; _ } -> Bytes.length b
+    | Some { present = true; durable; _ } -> Buffer.length durable
     | _ -> 0
 end

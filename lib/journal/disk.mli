@@ -8,7 +8,12 @@
     after {!type-t.sync_dir}, and {!Mem.crash} resolves the unsynced
     state under a configurable fault mix — short writes, torn appends,
     duplicated tails, undone renames — exactly the damage the WAL scan
-    and snapshot fallback must shrug off. *)
+    and snapshot fallback must shrug off.
+
+    Cost: each {!Mem} file keeps its durable bytes in one growable buffer
+    that [sync] extends in place, so a commit costs its unsynced batch,
+    not the whole file so far; listing is O(files). [read] and
+    [truncate] still build a full copy. *)
 
 type t = {
   read : string -> Bytes.t option;  (** whole file; [None] if absent *)

@@ -183,9 +183,11 @@ let submit t ~device ~seq report =
   end
 
 (* Drain the accepted queue through verification. Batch items are grouped
-   by device (one verifier view per group) and the groups verified on the
-   domain pool; results are folded back in dequeue order, so verdict-table
-   updates — and every counter — are bit-identical for any [jobs]. *)
+   by device and the groups verified on the domain pool, so each device's
+   verifier view in [World] is touched by exactly one domain per drain —
+   the contract [World.verify] states. Results are folded back in dequeue
+   order, so verdict-table updates — and every counter — are
+   bit-identical for any [jobs]. *)
 let drain ?jobs t =
   let n = Queue.length t.queue in
   if n = 0 then 0

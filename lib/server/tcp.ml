@@ -9,10 +9,14 @@ open Ra_core
    - all accepted fds are non-blocking; reads happen only on
      select-readable fds, so a connection that stops mid-frame just
      parks its half-frame in its Reader;
-   - responses go through a per-connection out-buffer flushed on
-     select-writable, so a client that stops *reading* absorbs its own
-     backpressure (and is disconnected at a buffer cap) instead of
-     blocking the accept loop in write(2). *)
+   - responses go through a per-connection out-buffer, so a client that
+     stops *reading* absorbs its own backpressure (and is disconnected at
+     a buffer cap) instead of blocking the accept loop in write(2);
+   - the out-buffers are flushed once per select round, after every
+     readable connection was served: a pipelining client gets its Acks in
+     one write(2) and one wakeup, not one per report, so throughput does
+     not follow the scheduler's wakeup latency. Every Ack in a buffer was
+     already journaled and committed by Core. *)
 
 let chunk_size = 8192
 let out_cap = 4 * 1024 * 1024
@@ -40,7 +44,7 @@ let flush_conn c =
 
 let queue_response c payload =
   c.out <- Bytes.cat c.out (Frame.seal_stream payload);
-  if Bytes.length c.out > out_cap then close_conn c else flush_conn c
+  if Bytes.length c.out > out_cap then close_conn c
 
 let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
     ?(fresh = false) ~port ~dir () =
@@ -95,7 +99,7 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
         (fun c -> if Bytes.length c.out > 0 then Some c.fd else None)
         !conns
     in
-    let readable, writable, _ =
+    let readable, _, _ =
       match Unix.select rds wrs [] 0.05 with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -112,9 +116,8 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
     List.iter
       (fun c -> if c.alive && List.mem c.fd readable then handle_readable c)
       !conns;
-    List.iter
-      (fun c -> if c.alive && List.mem c.fd writable then flush_conn c)
-      !conns;
+    (* this round's responses, plus whatever a backed-up socket now takes *)
+    List.iter (fun c -> if c.alive && Bytes.length c.out > 0 then flush_conn c) !conns;
     if Core.pending core > 0 then ignore (Core.drain ?jobs core);
     loop ()
   in

@@ -4,12 +4,15 @@
 
     The server is a single-threaded select(2) loop over non-blocking
     connections: reads happen only on readable fds, responses drain
-    through per-connection out-buffers on writable fds, so a client that
-    stalls mid-frame or stops reading parks its own state without ever
-    blocking another session — the stalled-client property the unit tests
-    pin down. Every decision (shed/accept/dedup/journal/verdict) is
-    {!Core}'s; kill -9 this process at any instant and a restart recovers
-    through the journal. *)
+    through per-connection out-buffers, so a client that stalls
+    mid-frame or stops reading parks its own state without ever blocking
+    another session — the stalled-client property the unit tests pin
+    down. The out-buffers are flushed once per select round, after every
+    readable connection was served, so a pipelining client receives a
+    round's Acks in one write rather than one write per report. Every
+    decision (shed/accept/dedup/journal/verdict) is {!Core}'s; kill -9
+    this process at any instant and a restart recovers through the
+    journal. *)
 
 val serve :
   ?host:string ->

@@ -1,4 +1,5 @@
-(** The server's fleet world: roster, verifier views, verdict table.
+(** The server's fleet world: roster, per-device verifier views, verdict
+    table.
 
     Built as a pure function of [(devices, seed)] — the same recipe
     {!Loadgen} uses for its prover fleet — so server and load generator
@@ -31,9 +32,17 @@ val known : t -> string -> bool
 val verify : t -> device:string -> Bytes.t -> (Verifier.verdict * Bytes.t, string) result
 (** Decode and verify one submitted report against [device]'s expected
     image; returns the verdict and the report MAC (the Merkle leaf
-    material). Builds a fresh verifier per call from immutable
-    provisioning data, so concurrent calls from a parallel drain are
-    safe. [Error] for unknown devices and undecodable reports. *)
+    material). [Error] for unknown devices and undecodable reports.
+
+    Each device has one verifier view, built by {!build} and kept for the
+    life of the world; its memo of expected code-block digests persists
+    across calls, so a warm verify is one HMAC. The verdict equals
+    [Verifier.verify (Fleet.verifier_for (fleet t) device)] on the decoded
+    report. Concurrency contract: calls for {e different} devices may run
+    on different domains at once; calls for the {e same} device must not
+    overlap. {!Core.drain} keeps this by grouping a batch by device (one
+    domain per group, with the pool barrier between drains) and
+    {!Core.recover} replays sequentially. *)
 
 val record : t -> device:string -> seq:int -> Verifier.verdict -> Bytes.t -> unit
 (** Fold one verified submission into the verdict table. Submissions

@@ -291,6 +291,29 @@ let prop_corrupt_journal_never_illegal_edge =
            including "every recorded transition is a declared edge" *)
         r.Fleet_chaos.violations = [])
 
+(* A commit costs its batch, not the whole file so far: N append+sync
+   pairs allocate O(total bytes). Counted in allocated bytes rather than
+   wall time, so the check is deterministic. A sync that re-copies the
+   durable file allocates O(N^2 * record) instead: ~70x over this bound. *)
+let test_mem_sync_linear () =
+  let store = Disk.Mem.create () in
+  let disk = Disk.Mem.disk store in
+  let record = Bytes.make 256 'r' and n = 1000 in
+  disk.Disk.append "wal" record;
+  disk.Disk.sync "wal";
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to n do
+    disk.Disk.append "wal" record;
+    disk.Disk.sync "wal"
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  let total = float_of_int (n * Bytes.length record) in
+  check Alcotest.int "every byte durable" ((n + 1) * Bytes.length record)
+    (Disk.Mem.synced_length store "wal");
+  if allocated > 16. *. total then
+    Alcotest.failf "%d append+sync pairs allocated %.0f bytes for %.0f bytes written"
+      n allocated total
+
 let () =
   Alcotest.run "ra_journal"
     [
@@ -312,6 +335,8 @@ let () =
             test_journal_resume_truncates;
           Alcotest.test_case "verifier catches divergence" `Quick
             test_verifier_divergence;
+          Alcotest.test_case "Mem commit costs its batch" `Quick
+            test_mem_sync_linear;
         ] );
       ( "state",
         [

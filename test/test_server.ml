@@ -238,6 +238,124 @@ let test_tcp_quarantine_endpoint () =
             (List.assoc "node-00002" entries)
       | _ -> Alcotest.fail "health query failed")
 
+(* --- world verifier views --------------------------------------------- *)
+
+(* One report from a device provisioned by the World recipe, optionally
+   after a static infection — the same path Loadgen takes. *)
+let attest dev ~seq =
+  let out = ref None in
+  Ra_core.Mp.run dev Ra_core.Mp.default_config
+    ~nonce:(Loadgen.nonce ~seed:7 ~device:"node-00000" ~seq)
+    ~on_complete:(fun r -> out := Some r)
+    ();
+  Ra_device.Device.run dev;
+  Ra_core.Report.encode (Option.get !out)
+
+let test_world_verify_matches_fresh_verifier () =
+  let world = World.build ~devices:8 ~seed:7 in
+  let fleet = World.fleet world in
+  let reference device bytes =
+    match Ra_core.Report.decode bytes with
+    | Error e -> Error ("undecodable report: " ^ e)
+    | Ok r ->
+        Ok
+          ( Ra_core.Verifier.verify (Ra_core.Fleet.verifier_for fleet device) r,
+            r.Ra_core.Report.mac )
+  in
+  let agree label device bytes =
+    match (World.verify world ~device bytes, reference device bytes) with
+    | Ok (v, mac), Ok (v', mac') ->
+        check Alcotest.string label
+          (Ra_core.Verifier.verdict_to_string v')
+          (Ra_core.Verifier.verdict_to_string v);
+        check Alcotest.string (label ^ " mac") (hex mac') (hex mac);
+        Some v
+    | Error _, Error _ -> None
+    | _ -> Alcotest.failf "%s: World.verify and the fresh verifier disagree" label
+  in
+  let expect label want got =
+    check Alcotest.(option string) label
+      (Option.map Ra_core.Verifier.verdict_to_string want)
+      (Option.map Ra_core.Verifier.verdict_to_string got)
+  in
+  let clean = Some Ra_core.Verifier.Clean
+  and tampered = Some Ra_core.Verifier.Tampered in
+  (* node-00000 reports clean twice, then is infected and reports again:
+     the tampered report meets a view whose memo the clean ones warmed *)
+  let prover =
+    Ra_core.Fleet.create ~master_secret:(World.master_secret ~seed:7) ()
+  in
+  let dev =
+    Ra_core.Fleet.provision prover "node-00000" ~config:World.device_config ()
+  in
+  let r1 = attest dev ~seq:1 in
+  let r2 = attest dev ~seq:2 in
+  ignore
+    (Ra_malware.Malware.install dev ~rng:(Prng.create ~seed:3) ~block:5
+       ~priority:8 Ra_malware.Malware.Static);
+  let r3 = attest dev ~seq:3 in
+  let d = "node-00000" in
+  expect "clean 1" clean (agree "clean 1" d r1);
+  expect "clean 2" clean (agree "clean 2" d r2);
+  expect "tampered after clean" tampered (agree "tampered after clean" d r3);
+  expect "clean again" clean (agree "clean again" d r1);
+  expect "tampered again" tampered (agree "tampered again" d r3);
+  (* a clean report with a forged MAC, and one claimed by another device *)
+  let forged =
+    let r = Result.get_ok (Ra_core.Report.decode r2) in
+    let mac = Bytes.copy r.Ra_core.Report.mac in
+    Bytes.set mac 0 (Char.chr (Char.code (Bytes.get mac 0) lxor 1));
+    Ra_core.Report.encode { r with Ra_core.Report.mac }
+  in
+  expect "forged mac" tampered (agree "forged mac" d forged);
+  expect "wrong device" tampered (agree "wrong device" "node-00001" r1);
+  expect "undecodable" None (agree "undecodable" d (Bytes.of_string "garbage"));
+  (* Loadgen's plan, twice over: infected roster slots come back Tampered
+     on cold and warm views alike *)
+  let plan = Loadgen.plan ~devices:8 ~seed:7 ~reports_per_device:2 in
+  for _ = 1 to 2 do
+    Array.iter
+      (fun it ->
+        let i = int_of_string (String.sub it.Loadgen.device 5 5) in
+        let label = Printf.sprintf "%s#%d" it.Loadgen.device it.Loadgen.seq in
+        expect label
+          (if Loadgen.is_tampered i then tampered else clean)
+          (agree label it.Loadgen.device it.Loadgen.report))
+      plan
+  done
+
+(* One plan, submitted in the same order and drained every 16 submits at
+   jobs 1, 2 and 4: the per-device views are touched by whichever domain
+   drew the group, yet the root must not move. *)
+let test_core_root_jobs_invariant () =
+  let plan = Loadgen.plan ~devices:24 ~seed:11 ~reports_per_device:4 in
+  let run jobs =
+    let core =
+      Core.create
+        ~config:{ Core.devices = 24; seed = 11; capacity = 64 }
+        (Disk.Mem.disk (Disk.Mem.create ()))
+    in
+    Array.iteri
+      (fun k it ->
+        (match
+           Core.handle ~jobs core
+             (Wire.Submit
+                { device = it.Loadgen.device; seq = it.Loadgen.seq; report = it.Loadgen.report })
+         with
+        | Wire.Ack _ -> ()
+        | _ -> Alcotest.failf "jobs %d: item %d not acked" jobs k);
+        if k mod 16 = 15 then ignore (Core.drain ~jobs core))
+      plan;
+    ignore (Core.drain ~jobs core);
+    let _, tampered, unreported = World.verdict_counts (Core.world core) in
+    check Alcotest.int "tampered" (Loadgen.expected_tampered ~devices:24) tampered;
+    check Alcotest.int "unreported" 0 unreported;
+    hex (Core.root core)
+  in
+  let r1 = run 1 in
+  check Alcotest.string "jobs 2 root" r1 (run 2);
+  check Alcotest.string "jobs 4 root" r1 (run 4)
+
 let () =
   Alcotest.run "server"
     [
@@ -266,5 +384,12 @@ let () =
           qtest prop_netsim_jobs_invariant;
           Alcotest.test_case "restart root bit-identity" `Quick
             test_netsim_restart_root_bit_identical;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "views agree with a fresh verifier" `Quick
+            test_world_verify_matches_fresh_verifier;
+          Alcotest.test_case "root bit-identical across jobs 1/2/4" `Quick
+            test_core_root_jobs_invariant;
         ] );
     ]
