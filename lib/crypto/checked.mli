@@ -20,4 +20,4 @@ val blake2s : Bytes.t -> Bytes.t
 
 val sha256_many : Bytes.t array -> Bytes.t array
 (** Naive batch reference: [Array.map sha256]. Must agree with
-    [Sha256_multi.digest_many] (every lane count) on every batch. *)
+    [Sha256_multi.digest_many] on every batch. *)

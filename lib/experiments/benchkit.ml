@@ -83,23 +83,20 @@ let crypto_metrics ?(quick = false) () =
   ]
   @
   (* Batch path over the same input bytes, re-cut as 1 KiB messages (the
-     shape one fleet measurement round produces). The lane sweep records
-     the interleaving win — and where register pressure takes it back —
-     so a regression in either direction trips compare.exe. *)
+     shape one fleet measurement round produces). Scalar one-at-a-time
+     against the 2-lane kernel records the interleaving win, so a
+     regression on either side trips compare.exe. *)
   let msg = 1024 in
   let batch =
     Array.init (size / msg) (fun i -> Bytes.sub buffer (i * msg) msg)
   in
-  let lanes_metric name lanes =
-    throughput_metric ~name ~bytes:size ~budget (fun () ->
-        ignore (Ra_crypto.Sha256_multi.digest_many ~lanes batch))
-  in
   [
     throughput_metric ~name:"sha256_batch_mb_s" ~bytes:size ~budget (fun () ->
         ignore (Ra_crypto.Algo.digest_many Ra_crypto.Algo.SHA_256 batch));
-    lanes_metric "sha256_lanes1_mb_s" 1;
-    lanes_metric "sha256_lanes2_mb_s" 2;
-    lanes_metric "sha256_lanes4_mb_s" 4;
+    throughput_metric ~name:"sha256_lanes1_mb_s" ~bytes:size ~budget (fun () ->
+        ignore (Array.map Ra_crypto.Sha256.digest batch));
+    throughput_metric ~name:"sha256_lanes2_mb_s" ~bytes:size ~budget (fun () ->
+        ignore (Ra_crypto.Sha256_multi.digest_many batch));
     (let key = Bytes.of_string "bench-key" in
      let pairs =
        Array.map

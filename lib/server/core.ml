@@ -249,3 +249,8 @@ let handle ?jobs t request =
       ignore (drain ?jobs t);
       Wire.Root (World.root t.world)
   | Wire.Counters -> Wire.Stats (counters t)
+
+let handle_payload ?jobs t payload =
+  match Wire.decode_request payload with
+  | Error msg -> Wire.encode_response (Wire.Rejected msg)
+  | Ok req -> Wire.encode_response (handle ?jobs t req)

@@ -44,6 +44,11 @@ val handle : ?jobs:int -> t -> Wire.request -> Wire.response
     [Fleet_root] drain the queue first, so their answers reflect every
     acknowledged report. *)
 
+val handle_payload : ?jobs:int -> t -> Bytes.t -> Bytes.t
+(** The transports' request pump: decode one request payload, {!handle}
+    it, and encode the response. An undecodable payload is answered
+    [Rejected] without reaching the core (no counter moves). *)
+
 val drain : ?jobs:int -> t -> int
 (** Verify everything queued and fold the verdicts into the world;
     returns the number of reports processed. Verification fans out over

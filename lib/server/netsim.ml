@@ -45,10 +45,8 @@ type outcome = {
   steps : int;
 }
 
-(* One step of virtual time ~ 10 ms for the RTO arithmetic. *)
+(* One step of virtual time ~ 10 ms: the session tick. *)
 let step_ns = 10_000_000
-
-let steps_of_rto rto = max 1 (rto / step_ns)
 
 (* --- connections --------------------------------------------------------- *)
 
@@ -64,19 +62,7 @@ type conn = {
   mutable to_client : chunk list;
 }
 
-type client = {
-  idx : int;
-  mutable todo : Loadgen.item list;
-  rtt : Rtt.t;
-  mutable conn : conn option;
-  mutable inflight : (int * int * bool) option;  (* seq, sent at, retransmitted *)
-  mutable head_attempts : int;  (* transmissions of the current head item *)
-  mutable deadline : int;
-  mutable wait_until : int;
-  mutable retries : int;
-  mutable busy : int;
-  mutable acked : int;
-}
+type client = { session : Session.t; mutable conn : conn option }
 
 type sim = {
   config : config;
@@ -168,11 +154,7 @@ let server_step t =
           | Frame.Reader.Await -> ()
           | Frame.Reader.Corrupt _ -> kill_conn t c
           | Frame.Reader.Frame payload ->
-              (match Wire.decode_request payload with
-              | Error msg -> send t c ~to_server:false (Wire.encode_response (Wire.Rejected msg))
-              | Ok req ->
-                  let resp = Core.handle t.core req in
-                  send t c ~to_server:false (Wire.encode_response resp));
+              send t c ~to_server:false (Core.handle_payload t.core payload);
               if c.alive then pump ()
         in
         pump ();
@@ -201,21 +183,6 @@ let client_conn t cl =
       cl.conn <- Some c;
       c
 
-let send_head t cl =
-  match cl.todo with
-  | [] -> ()
-  | item :: _ ->
-      (* anything beyond the first transmission of this item is a
-         retransmission: Karn's rule bars its Ack from feeding an RTT
-         sample, and the campaign counts it *)
-      let re = cl.head_attempts > 0 in
-      let c = client_conn t cl in
-      send t c ~to_server:true (Loadgen.submit_payload item);
-      cl.head_attempts <- cl.head_attempts + 1;
-      cl.inflight <- Some (item.Loadgen.seq, t.now, re);
-      cl.deadline <- t.now + steps_of_rto (Rtt.rto cl.rtt);
-      if re then cl.retries <- cl.retries + 1
-
 let client_absorb t cl =
   match cl.conn with
   | None -> ()
@@ -227,28 +194,7 @@ let client_absorb t cl =
           | Frame.Reader.Await -> ()
           | Frame.Reader.Corrupt _ -> kill_conn t c
           | Frame.Reader.Frame payload ->
-              (match (Wire.decode_response payload, cl.inflight, cl.todo) with
-              | Ok (Wire.Ack { seq; _ }), Some (fseq, sent, re), item :: rest
-                when seq = fseq && seq = item.Loadgen.seq ->
-                  if not re then Rtt.observe cl.rtt ((t.now - sent) * step_ns);
-                  Rtt.note_success cl.rtt;
-                  cl.todo <- rest;
-                  cl.inflight <- None;
-                  cl.head_attempts <- 0;
-                  cl.acked <- cl.acked + 1;
-                  cl.wait_until <- t.now
-              | Ok (Wire.Busy _), Some _, _ ->
-                  cl.busy <- cl.busy + 1;
-                  Rtt.backoff cl.rtt;
-                  cl.inflight <- None;
-                  cl.wait_until <- t.now + steps_of_rto (Rtt.rto cl.rtt)
-              | Ok (Wire.Rejected _), Some _, _ ->
-                  (* permanent; drop the item rather than loop forever
-                     (never hit by a well-formed campaign) *)
-                  cl.todo <- (match cl.todo with [] -> [] | _ :: r -> r);
-                  cl.inflight <- None;
-                  cl.head_attempts <- 0
-              | _ -> () (* stale ack for a retired item, or unsolicited *));
+              Session.receive cl.session ~now:t.now payload;
               if c.alive then pump ()
         in
         pump ();
@@ -257,21 +203,15 @@ let client_absorb t cl =
 
 let client_step t cl =
   client_absorb t cl;
-  let conn_dead = match cl.conn with Some c -> not c.alive | None -> false in
-  if conn_dead && cl.inflight <> None then begin
-    (* the connection died under our request: back off, reconnect,
-       retransmit — the Ack may or may not have been journaled, dedup
-       on the server sorts it out *)
-    Rtt.backoff cl.rtt;
-    cl.inflight <- None;
-    cl.wait_until <- t.now + steps_of_rto (Rtt.rto cl.rtt)
-  end;
-  match cl.inflight with
-  | Some _ when t.now >= cl.deadline ->
-      Rtt.backoff cl.rtt;
-      send_head t cl
-  | Some _ -> ()
-  | None -> if cl.todo <> [] && t.now >= cl.wait_until then send_head t cl
+  (match cl.conn with
+  | Some c when not c.alive -> Session.lost cl.session ~now:t.now
+  | _ -> ());
+  match Session.next cl.session ~now:t.now with
+  | None -> ()
+  | Some item ->
+      let c = client_conn t cl in
+      send t c ~to_server:true (Loadgen.submit_payload item);
+      Session.sent cl.session ~now:t.now
 
 (* --- campaign ------------------------------------------------------------ *)
 
@@ -290,16 +230,6 @@ let run ?jobs config =
         { Core.devices = config.devices; seed = config.seed; capacity = config.capacity }
       disk
   in
-  let per_client = Array.make config.devices [] in
-  Array.iter
-    (fun (item : Loadgen.item) ->
-      (* recover the roster index from the id position in the plan *)
-      let idx =
-        int_of_string (String.sub item.Loadgen.device 5
-                         (String.length item.Loadgen.device - 5))
-      in
-      per_client.(idx) <- item :: per_client.(idx))
-    plan;
   let t =
     {
       config;
@@ -309,22 +239,14 @@ let run ?jobs config =
       conn_rng = Prng.create ~seed:(config.seed lxor 0x7e57);
       crash_rng = Prng.create ~seed:(config.seed lxor 0xdead);
       clients =
-        Array.init config.devices (fun idx ->
-            {
-              idx;
-              todo = List.rev per_client.(idx);
-              rtt =
-                Rtt.create ~initial_rto:(Timebase.ms 120) ~min_rto:(Timebase.ms 40)
-                  ~max_rto:(Timebase.s 5) ();
-              conn = None;
-              inflight = None;
-              head_attempts = 0;
-              deadline = 0;
-              wait_until = 0;
-              retries = 0;
-              busy = 0;
-              acked = 0;
-            });
+        Array.map
+          (fun todo ->
+            let rtt =
+              Rtt.create ~initial_rto:(Timebase.ms 120) ~min_rto:(Timebase.ms 40)
+                ~max_rto:(Timebase.s 5) ()
+            in
+            { session = Session.create ~tick_ns:step_ns rtt todo; conn = None })
+          (Session.per_device ~devices:config.devices plan);
       conns = [];
       next_cid = 0;
       now = 0;
@@ -332,7 +254,7 @@ let run ?jobs config =
       restarts = 0;
     }
   in
-  let all_done () = Array.for_all (fun cl -> cl.todo = []) t.clients in
+  let all_done () = Array.for_all (fun cl -> Session.finished cl.session) t.clients in
   let rec loop () =
     if all_done () then Ok ()
     else if t.now >= config.max_steps then
@@ -351,15 +273,9 @@ let run ?jobs config =
           server_step t;
           Array.iter (fun cl -> client_step t cl) t.clients;
           if t.now mod config.drain_every = 0 then ignore (Core.drain ?jobs t.core);
-          (* drop dead connections the clients have abandoned *)
-          t.conns <-
-            List.filter
-              (fun c ->
-                c.alive
-                || Array.exists
-                     (fun cl -> match cl.conn with Some c' -> c' == c | None -> false)
-                     t.clients)
-              t.conns;
+          (* only the server side walks [conns], and it skips dead ones; a
+             client holds its own handle *)
+          t.conns <- List.filter (fun c -> c.alive) t.conns;
           loop ()
     end
   in
@@ -368,15 +284,16 @@ let run ?jobs config =
   | Ok () ->
       ignore (Core.drain ?jobs t.core);
       let clean, tampered, _ = World.verdict_counts (Core.world t.core) in
+      let sum f = Array.fold_left (fun a cl -> a + f cl.session) 0 t.clients in
       Ok
         {
           counters = Core.counters t.core;
           root = Core.root t.core;
           tampered;
           clean;
-          acked = Array.fold_left (fun a cl -> a + cl.acked) 0 t.clients;
-          retries = Array.fold_left (fun a cl -> a + cl.retries) 0 t.clients;
-          busy = Array.fold_left (fun a cl -> a + cl.busy) 0 t.clients;
+          acked = sum Session.acked;
+          retries = sum Session.retries;
+          busy = sum Session.busy;
           dead_conns = t.dead_conns;
           restarts = t.restarts;
           steps = t.now;

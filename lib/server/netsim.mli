@@ -7,10 +7,12 @@
     mid-campaign kill -9 with journal-backed restart) is a pure function
     of the config. That purity is what server-chaos gates on: counters
     deterministic per seed, invariant across [--jobs], and the
-    post-restart fleet root bit-identical to an unkilled run's. The
-    real-TCP path ({!Tcp}) reuses the same client logic shape but can
-    only approximate these guarantees, which is why the gates live
-    here. *)
+    post-restart fleet root bit-identical to an unkilled run's. Each
+    client's retry decisions are a {!Session} ticking once per step; the
+    real-TCP load generator ({!Tcp.run_campaign}) drives the same
+    {!Session} on the wall clock, so both gates exercise one policy. Only
+    this path is a pure function of its config, which is why the
+    determinism gates live here. *)
 
 type config = {
   devices : int;

@@ -81,10 +81,7 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
           | Frame.Reader.Await -> ()
           | Frame.Reader.Corrupt _ -> close_conn c
           | Frame.Reader.Frame payload ->
-              (match Wire.decode_request payload with
-              | Error msg -> queue_response c (Wire.encode_response (Wire.Rejected msg))
-              | Ok req ->
-                  queue_response c (Wire.encode_response (Core.handle ?jobs core req)));
+              queue_response c (Core.handle_payload ?jobs core payload);
               if c.alive then pump ()
         in
         pump ()
@@ -206,22 +203,11 @@ type campaign = {
 }
 
 type lclient = {
-  id : int;
-  mutable todo : Loadgen.item list;
-  rtt : Rtt.t;
+  session : Session.t;
   mutable fd : Unix.file_descr option;
   mutable reader : Frame.Reader.t;
-  mutable inflight : (int * float * bool) option;  (* seq, sent at, retrans *)
-  mutable attempts : int;
-  mutable deadline : float;
-  mutable wait_until : float;
-  mutable retries : int;
-  mutable busy : int;
-  mutable acked : int;
   mutable reconnects : int;
 }
-
-let rto_s rtt = float_of_int (Rtt.rto rtt) /. 1e9
 
 let drop_conn cl =
   (match cl.fd with
@@ -230,146 +216,92 @@ let drop_conn cl =
   cl.fd <- None;
   cl.reader <- Frame.Reader.create ()
 
+(* Every retry decision is Session's; this shell reads the clock, moves
+   bytes, and reports a dead or refused connection as lost. Session time
+   is nanoseconds since the campaign started. *)
 let run_campaign ?(host = "127.0.0.1") ?(give_up_after_s = 180.) ~port ~devices
     ~seed ~reports_per_device () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let plan = Loadgen.plan ~devices ~seed ~reports_per_device in
   let started = Unix.gettimeofday () in
   let give_up = started +. give_up_after_s in
-  let per = Array.make devices [] in
-  Array.iter
-    (fun (item : Loadgen.item) ->
-      let idx = int_of_string (String.sub item.Loadgen.device 5 5) in
-      per.(idx) <- item :: per.(idx))
-    plan;
+  let now_ns () = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
   let clients =
-    Array.init devices (fun id ->
+    Array.map
+      (fun todo ->
+        let rtt =
+          Rtt.create
+            ~initial_rto:(Ra_sim.Timebase.ms 250)
+            ~min_rto:(Ra_sim.Timebase.ms 50)
+            ~max_rto:(Ra_sim.Timebase.s 3) ()
+        in
         {
-          id;
-          todo = List.rev per.(id);
-          rtt =
-            Rtt.create
-              ~initial_rto:(Ra_sim.Timebase.ms 250)
-              ~min_rto:(Ra_sim.Timebase.ms 50)
-              ~max_rto:(Ra_sim.Timebase.s 3) ();
+          session = Session.create ~tick_ns:1 rtt todo;
           fd = None;
           reader = Frame.Reader.create ();
-          inflight = None;
-          attempts = 0;
-          deadline = 0.;
-          wait_until = 0.;
-          retries = 0;
-          busy = 0;
-          acked = 0;
           reconnects = 0;
         })
+      (Session.per_device ~devices plan)
+  in
+  let lost now cl =
+    drop_conn cl;
+    Session.lost cl.session ~now
   in
   let buf = Bytes.create chunk_size in
-  let send_head now cl =
-    match cl.todo with
-    | [] -> ()
-    | item :: _ -> (
-        let conn =
-          match cl.fd with
-          | Some fd -> Ok fd
-          | None -> (
-              match connect ~host ~port with
-              | Ok fd ->
-                  cl.fd <- Some fd;
-                  cl.reader <- Frame.Reader.create ();
-                  Ok fd
-              | Error _ as e ->
-                  (* server down (e.g. mid kill-gate): back off and keep
-                     trying — outliving the restart is the whole point *)
-                  cl.reconnects <- cl.reconnects + 1;
-                  cl.wait_until <- now +. 0.25;
-                  e)
-        in
-        match conn with
-        | Error _ -> ()
-        | Ok fd -> (
-            let re = cl.attempts > 0 in
-            match send_frame fd (Loadgen.submit_payload item) with
-            | Ok () ->
-                cl.attempts <- cl.attempts + 1;
-                cl.inflight <- Some (item.Loadgen.seq, now, re);
-                cl.deadline <- now +. rto_s cl.rtt;
-                if re then cl.retries <- cl.retries + 1
-            | Error _ ->
-                drop_conn cl;
-                Rtt.backoff cl.rtt;
-                cl.wait_until <- now +. rto_s cl.rtt))
+  let transmit now cl item =
+    Session.sent cl.session ~now;
+    let conn =
+      match cl.fd with
+      | Some fd -> Ok fd
+      | None -> (
+          match connect ~host ~port with
+          | Ok fd ->
+              cl.fd <- Some fd;
+              cl.reader <- Frame.Reader.create ();
+              Ok fd
+          | Error _ as e ->
+              (* server down (e.g. mid kill-gate): the session backs off
+                 and retries — outliving the restart is the whole point *)
+              cl.reconnects <- cl.reconnects + 1;
+              e)
+    in
+    match Result.bind conn (fun fd -> send_frame fd (Loadgen.submit_payload item)) with
+    | Ok () -> ()
+    | Error _ -> lost now cl
   in
   let absorb now cl =
     match cl.fd with
     | None -> ()
     | Some fd -> (
         match Unix.read fd buf 0 chunk_size with
-        | 0 ->
-            drop_conn cl;
-            if cl.inflight <> None then begin
-              Rtt.backoff cl.rtt;
-              cl.inflight <- None;
-              cl.wait_until <- now +. rto_s cl.rtt
-            end
+        | 0 -> lost now cl
         | n ->
             Frame.Reader.feed cl.reader ~len:n buf;
             let rec pump () =
               match Frame.Reader.next cl.reader with
               | Frame.Reader.Await -> ()
-              | Frame.Reader.Corrupt _ -> drop_conn cl
+              | Frame.Reader.Corrupt _ -> lost now cl
               | Frame.Reader.Frame payload ->
-                  (match (Wire.decode_response payload, cl.inflight, cl.todo) with
-                  | Ok (Wire.Ack { seq; _ }), Some (fseq, sent, re), item :: rest
-                    when seq = fseq && seq = item.Loadgen.seq ->
-                      if not re then
-                        Rtt.observe cl.rtt
-                          (int_of_float ((now -. sent) *. 1e9));
-                      Rtt.note_success cl.rtt;
-                      cl.todo <- rest;
-                      cl.inflight <- None;
-                      cl.attempts <- 0;
-                      cl.acked <- cl.acked + 1;
-                      cl.wait_until <- now
-                  | Ok (Wire.Busy _), Some _, _ ->
-                      cl.busy <- cl.busy + 1;
-                      Rtt.backoff cl.rtt;
-                      cl.inflight <- None;
-                      cl.wait_until <- now +. rto_s cl.rtt
-                  | Ok (Wire.Rejected _), Some _, _ ->
-                      cl.todo <- (match cl.todo with [] -> [] | _ :: r -> r);
-                      cl.inflight <- None;
-                      cl.attempts <- 0
-                  | _ -> ());
-                  if cl.fd <> None then pump ()
+                  Session.receive cl.session ~now payload;
+                  pump ()
             in
             pump ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-        | exception Unix.Unix_error _ ->
-            drop_conn cl;
-            if cl.inflight <> None then begin
-              Rtt.backoff cl.rtt;
-              cl.inflight <- None;
-              cl.wait_until <- now +. rto_s cl.rtt
-            end)
+        | exception Unix.Unix_error _ -> lost now cl)
   in
-  let all_done () = Array.for_all (fun cl -> cl.todo = []) clients in
+  let all_done () = Array.for_all (fun cl -> Session.finished cl.session) clients in
   let rec loop () =
     if all_done () then Ok ()
     else if Unix.gettimeofday () > give_up then
       Error
         (Printf.sprintf "campaign did not converge within %.0f s" give_up_after_s)
     else begin
-      let now = Unix.gettimeofday () in
+      let now = now_ns () in
       Array.iter
         (fun cl ->
-          match cl.inflight with
-          | Some _ when now >= cl.deadline ->
-              Rtt.backoff cl.rtt;
-              send_head now cl
-          | Some _ -> ()
-          | None ->
-              if cl.todo <> [] && now >= cl.wait_until then send_head now cl)
+          match Session.next cl.session ~now with
+          | Some item -> transmit now cl item
+          | None -> ())
         clients;
       let fds =
         Array.to_list clients
@@ -378,7 +310,7 @@ let run_campaign ?(host = "127.0.0.1") ?(give_up_after_s = 180.) ~port ~devices
       in
       (match Unix.select (List.map fst fds) [] [] 0.02 with
       | readable, _, _ ->
-          let now = Unix.gettimeofday () in
+          let now = now_ns () in
           List.iter
             (fun (fd, cl) -> if List.mem fd readable then absorb now cl)
             fds
@@ -415,16 +347,17 @@ let run_campaign ?(host = "127.0.0.1") ?(give_up_after_s = 180.) ~port ~devices
         | Ok r -> Error ("unexpected health response: " ^ Wire.response_to_string r)
         | Error _ as e -> e
       in
-      let acked = Array.fold_left (fun a cl -> a + cl.acked) 0 clients in
+      let sum f = Array.fold_left (fun a cl -> a + f cl) 0 clients in
+      let acked = sum (fun cl -> Session.acked cl.session) in
       let count state =
         List.fold_left (fun a (_, s) -> if s = state then a + 1 else a) 0 health
       in
       Ok
         {
           acked;
-          retries = Array.fold_left (fun a cl -> a + cl.retries) 0 clients;
-          busy = Array.fold_left (fun a cl -> a + cl.busy) 0 clients;
-          reconnects = Array.fold_left (fun a cl -> a + cl.reconnects) 0 clients;
+          retries = sum (fun cl -> Session.retries cl.session);
+          busy = sum (fun cl -> Session.busy cl.session);
+          reconnects = sum (fun cl -> cl.reconnects);
           stats;
           root;
           tampered = count "tampered";

@@ -58,11 +58,19 @@ val run_campaign :
   unit ->
   (campaign, string) result
 (** Drive the deterministic {!Loadgen.plan} against a live server: one
-    connection per device, RFC 6298 retry/backoff on [Busy], timeout and
-    dead connections, reconnect-with-backoff while the server is down —
-    so a campaign straddling a kill -9 + restart converges instead of
-    failing. [Error] only when the campaign does not converge within
-    [give_up_after_s] (default 180) or the final root/counters queries
-    fail. *)
+    connection per device, each device's retries decided by a {!Session}
+    (the policy {!Netsim} runs) on wall-clock nanoseconds. RFC 6298
+    retry/backoff covers [Busy], timeouts and dead connections.
+
+    A refused connect, a failed write, a reset, EOF or a corrupt stream
+    is a lost connection: with a request in flight the session backs the
+    RTO off once and waits one RTO before reconnecting and resending.
+    While the server is down, every refused attempt counts in
+    [reconnects] and, after an item's first transmission, in [retries];
+    the wait doubles each time up to the 3 s ceiling, and the first Ack
+    after the restart resets it. So a campaign straddling a kill -9 +
+    restart converges instead of failing. [Error] only when the campaign
+    does not converge within [give_up_after_s] (default 180) or the final
+    root/counters queries fail. *)
 
 val render_campaign : campaign -> string

@@ -191,7 +191,7 @@ let prop_digest_many_matches_checked =
           (String.concat "; " (List.map string_of_int msgs)))
       QCheck.Gen.(0 -- 9 >>= fun n -> list_size (return n) boundary_len)
   in
-  QCheck.Test.make ~name:"digest_many (lanes 1/2/4) = map Checked.sha256"
+  QCheck.Test.make ~name:"digest_many = map Checked.sha256"
     ~count:300 arb (fun lens ->
       let msgs =
         Array.of_list
@@ -201,12 +201,9 @@ let prop_digest_many_matches_checked =
              lens)
       in
       let reference = Checked.sha256_many msgs in
-      List.for_all
-        (fun lanes ->
-          let got = Sha256_multi.digest_many ~lanes msgs in
-          Array.length got = Array.length reference
-          && Array.for_all2 Bytes.equal got reference)
-        [ 1; 2; 4 ])
+      let got = Sha256_multi.digest_many msgs in
+      Array.length got = Array.length reference
+      && Array.for_all2 Bytes.equal got reference)
 
 let prop_algo_digest_many =
   QCheck.Test.make ~name:"Algo.digest_many = map Algo.digest" ~count:60
@@ -219,11 +216,6 @@ let prop_algo_digest_many =
             (Algo.digest_many h msgs)
             (Array.map (Algo.digest h) msgs))
         Algo.all_hashes)
-
-let test_digest_many_lane_validation () =
-  Alcotest.check_raises "lanes = 3"
-    (Invalid_argument "Sha256_multi.digest_many: lanes must be 1, 2 or 4")
-    (fun () -> ignore (Sha256_multi.digest_many ~lanes:3 [| Bytes.empty |]))
 
 (* cross-check: this test IS the cross-check — unsafe_load* diffed against
    the bounds-checked load* on every offset *)
@@ -510,8 +502,6 @@ let () =
         [
           qtest prop_digest_many_matches_checked;
           qtest prop_algo_digest_many;
-          Alcotest.test_case "lane validation" `Quick
-            test_digest_many_lane_validation;
         ] );
       ( "incremental",
         [

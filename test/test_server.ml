@@ -2,8 +2,9 @@
    deterministic server core (bounded queue, shedding, dedup, journaled
    ingest), crash recovery through Journal.restart, simulated-network
    campaigns under stream faults (determinism per seed, invariance across
-   --jobs, restart root bit-identity), and the real-TCP shell (a stalled
-   client must not block other sessions). *)
+   --jobs, restart root bit-identity, golden outcomes), the load
+   generator's retry session, and the real-TCP shell (a stalled client
+   must not block other sessions). *)
 
 open Ra_server
 module Prng = Ra_sim.Prng
@@ -158,6 +159,172 @@ let test_netsim_restart_root_bit_identical () =
     killed.Netsim.tampered;
   if killed.Netsim.counters.Wire.recovered = 0 then
     Alcotest.fail "the crash recovered nothing — it landed before any ingest"
+
+(* Golden outcomes, measured before Netsim's retry policy moved into
+   Session: the merge must not move a single retry, Busy, dead connection
+   or step. *)
+let test_netsim_golden_signatures () =
+  List.iter
+    (fun (seed, crash_at, want) ->
+      let o = run_ok { smoke_config with Netsim.seed; crash_at } in
+      let got = Printf.sprintf "steps=%d %s" o.Netsim.steps (outcome_signature o) in
+      let label =
+        Printf.sprintf "seed %d%s" seed
+          (match crash_at with Some at -> Printf.sprintf " crash@%d" at | None -> "")
+      in
+      check Alcotest.string label want got)
+    [
+      ( 1, None,
+        "steps=207 acc=36 shed=5 dedup=12 rej=0 rec=0 acked=36 retries=22 busy=4 dead=11 \
+         root=c321e811d7991e81b33bd0e9adff7103dcf3f0a8fc86996ff0541241e125abbc" );
+      ( 1, Some 40,
+        "steps=183 acc=36 shed=0 dedup=7 rej=0 rec=25 acked=36 retries=22 busy=4 dead=17 \
+         root=c321e811d7991e81b33bd0e9adff7103dcf3f0a8fc86996ff0541241e125abbc" );
+      ( 7, None,
+        "steps=185 acc=36 shed=7 dedup=7 rej=0 rec=0 acked=36 retries=17 busy=5 dead=8 \
+         root=3cc075b59c99720e091b4239b759aac551da58c3222078111c26d02bd5b30fbd" );
+      ( 7, Some 40,
+        "steps=86 acc=36 shed=0 dedup=3 rej=0 rec=28 acked=36 retries=16 busy=5 dead=17 \
+         root=3cc075b59c99720e091b4239b759aac551da58c3222078111c26d02bd5b30fbd" );
+      ( 42, None,
+        "steps=221 acc=36 shed=9 dedup=11 rej=0 rec=0 acked=36 retries=28 busy=9 dead=14 \
+         root=a7a9c4428839fae1b4ef710fe4f7cff3475f385c88c884583514dfdfdf8858b3" );
+      ( 42, Some 40,
+        "steps=973 acc=36 shed=0 dedup=13 rej=0 rec=21 acked=36 retries=33 busy=9 dead=21 \
+         root=a7a9c4428839fae1b4ef710fe4f7cff3475f385c88c884583514dfdfdf8858b3" );
+    ]
+
+(* --- load-generator session --------------------------------------------- *)
+
+let item seq = { Loadgen.device = "node-00000"; seq; report = Bytes.empty }
+let ack seq = Wire.encode_response (Wire.Ack { device = "node-00000"; seq })
+let seq_opt = Alcotest.(option int)
+
+(* One tick is one ns; the RTO starts at 100 ticks, floor 10, ceiling 10k. *)
+let session () =
+  let rtt = Ra_core.Rtt.create ~initial_rto:100 ~min_rto:10 ~max_rto:10_000 () in
+  (rtt, Session.create ~tick_ns:1 rtt [ item 1; item 2 ])
+
+let next_seq s ~now = Option.map (fun it -> it.Loadgen.seq) (Session.next s ~now)
+
+let test_session_karn () =
+  let rtt, s = session () in
+  check seq_opt "head due at once" (Some 1) (next_seq s ~now:0);
+  Session.sent s ~now:0;
+  check seq_opt "nothing due while in flight" None (next_seq s ~now:99);
+  Session.receive s ~now:30 (ack 1);
+  check Alcotest.int "a first transmission's Ack is a sample" 1
+    (Ra_core.Rtt.samples rtt);
+  check Alcotest.int "acked" 1 (Session.acked s);
+  check seq_opt "next item due at once" (Some 2) (next_seq s ~now:30);
+  Session.sent s ~now:30;
+  let deadline = 30 + Ra_core.Rtt.rto rtt in
+  check seq_opt "no resend before the deadline" None
+    (next_seq s ~now:(deadline - 1));
+  check seq_opt "resend at the deadline" (Some 2) (next_seq s ~now:deadline);
+  Session.sent s ~now:deadline;
+  check Alcotest.int "resend counted" 1 (Session.retries s);
+  check Alcotest.int "timeout backed off" 1 (Ra_core.Rtt.backoffs rtt);
+  Session.receive s ~now:(deadline + 5) (ack 2);
+  check Alcotest.int "a retransmit's Ack is no sample (Karn)" 1
+    (Ra_core.Rtt.samples rtt);
+  check Alcotest.bool "finished" true (Session.finished s)
+
+let test_session_busy () =
+  let rtt, s = session () in
+  Session.sent s ~now:0;
+  Session.receive s ~now:10
+    (Wire.encode_response (Wire.Busy { queued = 8; capacity = 8 }));
+  check Alcotest.int "busy counted" 1 (Session.busy s);
+  check Alcotest.int "backed off" 1 (Ra_core.Rtt.backoffs rtt);
+  check Alcotest.int "RTO doubled" 200 (Ra_core.Rtt.rto rtt);
+  check seq_opt "waits one RTO" None (next_seq s ~now:209);
+  check seq_opt "same item after the wait" (Some 1) (next_seq s ~now:210);
+  check Alcotest.int "not acked" 0 (Session.acked s)
+
+let test_session_rejected () =
+  let _, s = session () in
+  Session.sent s ~now:0;
+  Session.receive s ~now:5 (Wire.encode_response (Wire.Rejected "no"));
+  check Alcotest.int "not acked" 0 (Session.acked s);
+  check seq_opt "head dropped: next item due at once" (Some 2)
+    (next_seq s ~now:5);
+  Session.sent s ~now:5;
+  check Alcotest.int "a fresh item's first send is no retry" 0
+    (Session.retries s)
+
+let test_session_stale_ack () =
+  let rtt, s = session () in
+  let state () =
+    Printf.sprintf "finished=%b acked=%d retries=%d busy=%d samples=%d backoffs=%d \
+                    rto=%d next@50=%s next@1000=%s"
+      (Session.finished s) (Session.acked s) (Session.retries s) (Session.busy s)
+      (Ra_core.Rtt.samples rtt) (Ra_core.Rtt.backoffs rtt) (Ra_core.Rtt.rto rtt)
+      (Option.fold ~none:"-" ~some:string_of_int (next_seq s ~now:50))
+      (Option.fold ~none:"-" ~some:string_of_int (next_seq s ~now:1000))
+  in
+  let idle = state () in
+  Session.receive s ~now:5 (ack 1);
+  Session.receive s ~now:5 (Wire.encode_response (Wire.Busy { queued = 1; capacity = 1 }));
+  Session.receive s ~now:5 (Bytes.of_string "garbage");
+  check Alcotest.string "answers with nothing in flight" idle (state ());
+  Session.sent s ~now:10;
+  let busy = state () in
+  Session.receive s ~now:20 (ack 2);
+  Session.receive s ~now:20 (ack 0);
+  Session.receive s ~now:20 (Bytes.of_string "garbage");
+  check Alcotest.string "Acks for other items" busy (state ())
+
+(* The regression for an outage: a connection lost under a resend backs
+   off once and waits one RTO; reporting the same dead connection again
+   neither backs off again nor makes the item due early. *)
+let test_session_lost () =
+  let rtt, s = session () in
+  Session.sent s ~now:0;
+  let deadline = Ra_core.Rtt.rto rtt in
+  check seq_opt "resend due" (Some 1) (next_seq s ~now:deadline);
+  Session.sent s ~now:deadline;
+  Session.lost s ~now:deadline;
+  check Alcotest.int "timeout + lost: two back-offs" 2 (Ra_core.Rtt.backoffs rtt);
+  Session.lost s ~now:(deadline + 1);
+  check Alcotest.int "lost again with nothing in flight: no back-off" 2
+    (Ra_core.Rtt.backoffs rtt);
+  let wait_until = deadline + Ra_core.Rtt.rto rtt in
+  for now = deadline to wait_until - 1 do
+    if Session.next s ~now <> None then
+      Alcotest.failf "retransmitted at %d, before the wait ends at %d" now wait_until
+  done;
+  check seq_opt "due once the wait is over" (Some 1) (next_seq s ~now:wait_until);
+  Session.sent s ~now:wait_until;
+  check Alcotest.int "two resends" 2 (Session.retries s)
+
+(* The split is positional: item k is device k mod devices, with no id
+   parsing — a six-digit roster index lands where it belongs. *)
+let test_session_per_device_split () =
+  let devices = 5 in
+  let per =
+    Session.per_device ~devices
+      (Loadgen.plan ~devices ~seed:3 ~reports_per_device:3)
+  in
+  check Alcotest.int "one list per device" devices (Array.length per);
+  Array.iteri
+    (fun i items ->
+      let id = World.device_id i in
+      check Alcotest.(list string) id [ id; id; id ]
+        (List.map (fun it -> it.Loadgen.device) items);
+      check Alcotest.(list int) (id ^ " seq order") [ 1; 2; 3 ]
+        (List.map (fun it -> it.Loadgen.seq) items))
+    per;
+  let devices = 100_001 in
+  let synthetic =
+    Array.init (2 * devices) (fun k ->
+        { Loadgen.device = World.device_id (k mod devices); seq = (k / devices) + 1;
+          report = Bytes.empty })
+  in
+  let per = Session.per_device ~devices synthetic in
+  check Alcotest.(list string) "index 100000"
+    [ World.device_id 100_000; World.device_id 100_000 ]
+    (List.map (fun it -> it.Loadgen.device) per.(100_000))
 
 (* --- real TCP shell ------------------------------------------------------- *)
 
@@ -384,6 +551,22 @@ let () =
           qtest prop_netsim_jobs_invariant;
           Alcotest.test_case "restart root bit-identity" `Quick
             test_netsim_restart_root_bit_identical;
+          Alcotest.test_case "golden signatures" `Quick
+            test_netsim_golden_signatures;
+        ] );
+      ( "retry",
+        [
+          Alcotest.test_case "Karn: no sample after a retransmit" `Quick
+            test_session_karn;
+          Alcotest.test_case "Busy backs off one RTO" `Quick test_session_busy;
+          Alcotest.test_case "Rejected drops the head" `Quick
+            test_session_rejected;
+          Alcotest.test_case "stale Acks change nothing" `Quick
+            test_session_stale_ack;
+          Alcotest.test_case "lost connection backs off once" `Quick
+            test_session_lost;
+          Alcotest.test_case "per-device split by position" `Quick
+            test_session_per_device_split;
         ] );
       ( "world",
         [
