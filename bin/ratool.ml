@@ -53,6 +53,35 @@ let check_jobs_arg =
           "Repeat the run at each of these job counts and fail unless every \
            counter digest is bit-identical.")
 
+(* The one invariant-failure exit: every violation on stderr, then exit 1
+   (not cmdliner's 124 — a violated invariant is a test failure, not a
+   usage error). *)
+let conclude cmd = function
+  | [] -> `Ok ()
+  | violations ->
+    List.iter (Printf.eprintf "ratool %s: %s\n" cmd) violations;
+    exit 1
+
+(* The one re-run comparison: each re-run against the reference run,
+   matches confirmed on stdout, divergences returned as violations. *)
+let check_reruns ~signature reference reruns =
+  List.filter_map
+    (function
+      | Ok line ->
+        print_endline line;
+        None
+      | Error v -> Some v)
+    (Harness.compare_reruns ~signature reference reruns)
+
+let at_jobs js run = List.map (fun j -> (Harness.Jobs j, fun () -> run j)) js
+
+(* --journal DIR for a campaign that records as it runs *)
+let open_journal = Option.map (fun dir -> Ra_journal.Journal.create (Ra_journal.Disk.file ~dir))
+
+let announce_journal =
+  Option.iter (fun dir ->
+      Printf.printf "campaign journal recorded in %s/ (ratool replay --journal %s)\n" dir dir)
+
 (* --- fig1: on-demand protocol timeline ------------------------------- *)
 
 let scheme_arg =
@@ -471,23 +500,27 @@ let run_fleet_demo () =
 " (String.concat ", " roll.Ra_core.Fleet.tampered)
 
 (* Counter-and-root signature of a roll call: everything that must be
-   invariant across --jobs and --shards. The shard count and per-shard
-   roots legitimately differ between shard counts, so --check-shards
-   compares this signature; --check-jobs additionally demands identical
-   shard roots (same shard count, so nothing may move). *)
-let fr_signature r =
+   invariant across --jobs and --shards (the fleet root commits to every
+   device's id and verdict). The shard count and per-shard roots
+   legitimately differ between shard counts, so --check-shards compares
+   this signature; --check-jobs additionally demands identical shard roots
+   (same shard count, so nothing may move). *)
+let fr_signature ~shard_roots r =
   let open Ra_core in
   let roll = r.Fleet_roll.roll in
-  ( (roll.Fleet.clean, roll.Fleet.tampered),
-    ( roll.Fleet.digest_requests,
-      roll.Fleet.cache_hits,
-      roll.Fleet.store_hits,
-      roll.Fleet.hashed,
-      roll.Fleet.batch_hashed,
-      roll.Fleet.distinct_blocks ),
-    roll.Fleet.fleet_root )
-
-let fr_root r = Ra_crypto.Bytesutil.to_hex r.Fleet_roll.roll.Ra_core.Fleet.fleet_root
+  let hex = Ra_crypto.Bytesutil.to_hex in
+  Printf.sprintf
+    "clean=%d tampered=%d requests=%d memo-hits=%d store-hits=%d hashed=%d \
+     batched=%d distinct=%d root=%s%s"
+    (List.length roll.Fleet.clean)
+    (List.length roll.Fleet.tampered)
+    roll.Fleet.digest_requests roll.Fleet.cache_hits roll.Fleet.store_hits
+    roll.Fleet.hashed roll.Fleet.batch_hashed roll.Fleet.distinct_blocks
+    (hex roll.Fleet.fleet_root)
+    (if shard_roots then
+       " shard-roots="
+       ^ String.concat "," (List.map hex (Array.to_list roll.Fleet.shard_roots))
+     else "")
 
 (* Roll-call-at-scale: N devices on one shared-firmware release, every
    1000th one infected, enrolled virtually and attested shard by shard
@@ -496,63 +529,36 @@ let fr_root r = Ra_crypto.Bytesutil.to_hex r.Fleet_roll.roll.Ra_core.Fleet.fleet
 let run_fleet_scale ~seed ~devices ~shards ~check_jobs ~check_shards
     ~journal_dir =
   Printf.printf "E-FL — fleet roll call at scale: %d devices\n" devices;
-  let journal =
-    Option.map
-      (fun dir -> Ra_journal.Journal.create (Ra_journal.Disk.file ~dir))
-      journal_dir
-  in
-  let r = Fleet_roll.run ~devices ~seed ?shards ?journal () in
+  let r = Fleet_roll.run ~devices ~seed ?shards ?journal:(open_journal journal_dir) () in
   print_string (Fleet_roll.render r);
-  (match journal_dir with
-  | Some dir ->
-    Printf.printf "campaign journal recorded in %s/ (ratool replay --journal %s)\n"
-      dir dir
-  | None -> ());
-  let mismatches =
-    List.filter_map
-      (fun j ->
-        let r' = Fleet_roll.run ~devices ~seed ~shards:r.Fleet_roll.shards ~jobs:j () in
-        if
-          fr_signature r' = fr_signature r
-          && r'.Fleet_roll.roll.Ra_core.Fleet.shard_roots
-             = r.Fleet_roll.roll.Ra_core.Fleet.shard_roots
-        then begin
-          Printf.printf "jobs=%d: fleet root and counters bit-identical\n" j;
-          None
-        end
-        else
-          Some
-            (Printf.sprintf "jobs=%d diverged:\n  %s\n  %s" j (fr_root r)
-               (fr_root r')))
-      check_jobs
-    @ List.filter_map
-        (fun s ->
-          let r' = Fleet_roll.run ~devices ~seed ~shards:s () in
-          if fr_signature r' = fr_signature r then begin
-            Printf.printf "shards=%d: fleet root and counters bit-identical\n" s;
-            None
-          end
-          else
-            Some
-              (Printf.sprintf "shards=%d diverged:\n  %s\n  %s" s (fr_root r)
-                 (fr_root r')))
-        check_shards
+  announce_journal journal_dir;
+  let jobs_mismatches =
+    check_reruns ~signature:(fr_signature ~shard_roots:true) r
+      (at_jobs check_jobs (fun j ->
+           Ok (Fleet_roll.run ~devices ~seed ~shards:r.Fleet_roll.shards ~jobs:j ())))
   in
-  if mismatches = [] then `Ok ()
-  else begin
-    List.iter (fun m -> Printf.eprintf "ratool fleet: %s\n" m) mismatches;
-    prerr_endline "ratool fleet: invariance check failed";
-    exit 1
-  end
+  let shards_mismatches =
+    check_reruns ~signature:(fr_signature ~shard_roots:false) r
+      (List.map
+         (fun s -> (Harness.Shards s, fun () -> Ok (Fleet_roll.run ~devices ~seed ~shards:s ())))
+         check_shards)
+  in
+  conclude "fleet" (jobs_mismatches @ shards_mismatches)
 
 let run_fleet () seed devices shards check_jobs check_shards journal_dir =
-  if devices = 0 then begin
+  if devices <> 0 then
+    run_fleet_scale ~seed ~devices ~shards ~check_jobs ~check_shards
+      ~journal_dir
+  else if shards <> None || check_jobs <> [] || check_shards <> [] || journal_dir <> None
+  then
+    `Error
+      ( true,
+        "--shards, --check-jobs, --check-shards and --journal need scale mode \
+         (--devices N)" )
+  else begin
     run_fleet_demo ();
     `Ok ()
   end
-  else
-    run_fleet_scale ~seed ~devices ~shards ~check_jobs ~check_shards
-      ~journal_dir
 
 let devices_arg =
   let doc =
@@ -623,13 +629,7 @@ let run_chaos () seed trials =
   else begin
     let summary = Chaos.run ~seed ~trials () in
     print_string (Chaos.render summary);
-    if summary.Chaos.violations = [] then `Ok ()
-    else begin
-      (* explicit exit 1 (not cmdliner's 124): a violated recovery
-         invariant is a test failure, not a CLI usage error *)
-      prerr_endline "ratool chaos: recovery invariants violated";
-      exit 1
-    end
+    conclude "chaos" summary.Chaos.violations
   end
 
 let chaos_cmd =
@@ -643,15 +643,13 @@ let chaos_cmd =
 (* --- fleet-chaos ------------------------------------------------------------ *)
 
 let fc_digest r = r.Fleet_chaos.report.Ra_supervisor.Supervisor.counter_digest
-let fc_detections r =
-  List.length r.Fleet_chaos.report.Ra_supervisor.Supervisor.detections
 
 let default_journal_dir = "fleet-chaos-journal"
 
 (* The crash-recovery proof: for each jobs value, record a campaign into its
    own journal directory, kill it mid-round-K, resume from journal+snapshot,
    and require the finished run to match a never-killed reference run —
-   same digest, same detection count, no invariant violations. *)
+   same digest (detection count included), no invariant violations. *)
 let kill_resume_proof ~devices ~seed ~rounds ~dir ~kill_at ~all_jobs ?shards () =
   let reference =
     Fleet_chaos.run ~devices ~seed ~jobs:1 ?shards ~max_rounds:rounds ()
@@ -659,51 +657,28 @@ let kill_resume_proof ~devices ~seed ~rounds ~dir ~kill_at ~all_jobs ?shards () 
   print_string (Fleet_chaos.render reference);
   Printf.printf "\nkill/resume proof: kill at round %d, journals under %s/\n"
     kill_at dir;
-  let failures =
-    List.concat_map
-      (fun j ->
-        let subdir = Filename.concat dir (Printf.sprintf "j%d" j) in
-        let disk = Ra_journal.Disk.file ~dir:subdir in
-        let killed =
-          Fleet_chaos.record_killed ~disk ~devices ~seed ~jobs:j ?shards
-            ~max_rounds:rounds ~kill_at_round:kill_at ()
-        in
-        if not killed then
-          [ Printf.sprintf
-              "jobs=%d: campaign converged before round %d; nothing was killed"
-              j kill_at ]
-        else
-          match Fleet_chaos.resume ~disk ~jobs:j ?shards () with
-          | Error e -> [ Printf.sprintf "jobs=%d: resume failed: %s" j e ]
-          | Ok r ->
-            let problems =
-              (if r.Fleet_chaos.violations <> [] then
-                 [ Printf.sprintf "jobs=%d: resumed run violated invariants" j ]
-               else [])
-              @ (if not (String.equal (fc_digest r) (fc_digest reference)) then
-                   [ Printf.sprintf "jobs=%d: digest diverged:\n  %s\n  %s" j
-                       (fc_digest reference) (fc_digest r) ]
-                 else [])
-              @
-              if fc_detections r <> fc_detections reference then
-                [ Printf.sprintf "jobs=%d: detections %d/%d vs reference" j
-                    (fc_detections r) (fc_detections reference) ]
-              else []
-            in
-            if problems = [] then
-              Printf.printf
-                "jobs=%d: killed at round %d, resumed, converged — digest and \
-                 %d/%d detections bit-identical to the unkilled run\n"
-                j kill_at (fc_detections r) (fc_detections reference);
-            problems)
-      all_jobs
+  let killed_and_resumed j =
+    let disk = Ra_journal.Disk.file ~dir:(Filename.concat dir (Printf.sprintf "j%d" j)) in
+    if
+      not
+        (Fleet_chaos.record_killed ~disk ~devices ~seed ~jobs:j ?shards
+           ~max_rounds:rounds ~kill_at_round:kill_at ())
+    then
+      Error (Printf.sprintf "campaign converged before round %d; nothing was killed" kill_at)
+    else
+      match Fleet_chaos.resume ~disk ~jobs:j ?shards () with
+      | Error e -> Error ("resume failed: " ^ e)
+      | Ok r when r.Fleet_chaos.violations <> [] ->
+        Error
+          ("resumed run violated invariants: "
+          ^ String.concat "; " r.Fleet_chaos.violations)
+      | Ok r -> Ok r
   in
-  if failures = [] && reference.Fleet_chaos.violations = [] then `Ok ()
-  else begin
-    List.iter (fun m -> Printf.eprintf "ratool fleet-chaos: %s\n" m) failures;
-    prerr_endline "ratool fleet-chaos: crash-recovery proof failed";
-    exit 1
-  end
+  let mismatches =
+    check_reruns ~signature:fc_digest reference
+      (at_jobs all_jobs killed_and_resumed)
+  in
+  conclude "fleet-chaos" (reference.Fleet_chaos.violations @ mismatches)
 
 let run_fleet_chaos devices jobs shards seed rounds check_jobs journal_dir
     kill_at resume =
@@ -717,6 +692,11 @@ let run_fleet_chaos devices jobs shards seed rounds check_jobs journal_dir
       let all_jobs = jobs :: List.filter (fun j -> j <> jobs) check_jobs in
       kill_resume_proof ~devices ~seed ~rounds ~dir ~kill_at:k ~all_jobs
         ?shards ()
+    | Some _, false when check_jobs <> [] ->
+      `Error
+        ( true,
+          "--check-jobs with --kill-at-round needs --resume (the kill/resume \
+           proof)" )
     | Some k, false ->
       (* record a crash artifact and stop — resume it in a later invocation *)
       let dir = Option.value journal_dir ~default:default_journal_dir in
@@ -747,50 +727,21 @@ let run_fleet_chaos devices jobs shards seed rounds check_jobs journal_dir
         | Error e -> `Error (false, "resume failed: " ^ e)
         | Ok r ->
           print_string (Fleet_chaos.render r);
-          if r.Fleet_chaos.violations = [] then `Ok ()
-          else begin
-            prerr_endline "ratool fleet-chaos: convergence invariants violated";
-            exit 1
-          end
+          conclude "fleet-chaos" r.Fleet_chaos.violations
       end
     | None, false ->
-      let journal =
-        Option.map
-          (fun dir -> Ra_journal.Journal.create (Ra_journal.Disk.file ~dir))
-          journal_dir
-      in
       let r =
-        Fleet_chaos.run ~devices ~seed ~jobs ?shards ?journal
+        Fleet_chaos.run ~devices ~seed ~jobs ?shards ?journal:(open_journal journal_dir)
           ~max_rounds:rounds ()
       in
       print_string (Fleet_chaos.render r);
-      (match journal_dir with
-      | Some dir ->
-        Printf.printf "campaign journal recorded in %s/ (ratool replay --journal %s)\n"
-          dir dir
-      | None -> ());
+      announce_journal journal_dir;
       let mismatches =
-        List.filter_map
-          (fun j ->
-            let r' =
-              Fleet_chaos.run ~devices ~seed ~jobs:j ?shards ~max_rounds:rounds ()
-            in
-            if String.equal (fc_digest r) (fc_digest r') then begin
-              Printf.printf "jobs=%d: counters bit-identical\n" j;
-              None
-            end
-            else
-              Some
-                (Printf.sprintf "jobs=%d diverged:\n  %s\n  %s" j (fc_digest r)
-                   (fc_digest r')))
-          check_jobs
+        check_reruns ~signature:fc_digest r
+          (at_jobs check_jobs (fun j ->
+               Ok (Fleet_chaos.run ~devices ~seed ~jobs:j ?shards ~max_rounds:rounds ())))
       in
-      if r.Fleet_chaos.violations = [] && mismatches = [] then `Ok ()
-      else begin
-        List.iter (fun m -> Printf.eprintf "ratool fleet-chaos: %s\n" m) mismatches;
-        prerr_endline "ratool fleet-chaos: convergence invariants violated";
-        exit 1
-      end
+      conclude "fleet-chaos" (r.Fleet_chaos.violations @ mismatches)
 
 let journal_dir_arg =
   Arg.(
@@ -862,66 +813,41 @@ let fleet_chaos_cmd =
 
 (* --- replay ------------------------------------------------------------------ *)
 
-(* One verify-mode replay per jobs value; [replay_one] prints per-jobs
-   progress and [finish] renders the last verified result. *)
-let replay_all ~all_jobs ~replay_one ~finish =
-  let outcome =
-    List.fold_left
-      (fun acc j ->
-        match acc with
-        | Error _ -> acc
-        | Ok _ -> (
-          match replay_one j with
-          | Error e -> Error (j, e)
-          | Ok r ->
-            Printf.printf
-              "jobs=%d: replayed bit-identically — every record and the \
-               final digest verified\n"
-              j;
-            Ok (Some r)))
-      (Ok None) all_jobs
-  in
-  match outcome with
-  | Error (j, e) ->
-    Printf.eprintf "ratool replay: jobs=%d diverged from the journal: %s\n" j e;
-    exit 1
-  | Ok None -> `Ok ()
-  | Ok (Some r) ->
-    print_newline ();
-    finish r
+(* A verify-mode replay at [jobs] (Ok means every journal record
+   reproduced), then one more per --check-jobs value, each compared
+   against the first. *)
+let replay_checked ~jobs ~check_jobs ~replay ~signature ~render ~violations =
+  match replay jobs with
+  | Error e -> conclude "replay" [ Printf.sprintf "jobs=%d: %s" jobs e ]
+  | Ok r ->
+    Printf.printf
+      "jobs=%d: replayed bit-identically — every record and the final \
+       digest verified\n\n"
+      jobs;
+    print_string (render r);
+    let mismatches =
+      check_reruns ~signature r (at_jobs (List.filter (( <> ) jobs) check_jobs) replay)
+    in
+    conclude "replay" (violations r @ mismatches)
 
 (* The journal's leading campaign record names the experiment that wrote
    it, so replay dispatches on that — the same directory flag serves every
    journaled campaign kind. *)
-let journal_experiment disk =
-  match Ra_journal.Journal.recover disk with
-  | Error _ -> None
-  | Ok r ->
-    if Array.length r.Ra_journal.Journal.events = 0 then None
-    else Ra_journal.Event.find_s r.Ra_journal.Journal.events.(0) "experiment"
-
 let run_replay jobs dir check_jobs =
   if jobs < 1 then `Error (true, "--jobs must be at least 1")
   else begin
     let disk = Ra_journal.Disk.file ~dir in
-    let all_jobs = jobs :: List.filter (fun j -> j <> jobs) check_jobs in
-    match journal_experiment disk with
+    match Harness.experiment disk with
     | Some "fleet-roll" ->
-      replay_all ~all_jobs
-        ~replay_one:(fun j -> Fleet_roll.replay ~disk ~jobs:j ())
-        ~finish:(fun r ->
-          print_string (Fleet_roll.render r);
-          `Ok ())
+      replay_checked ~jobs ~check_jobs
+        ~replay:(fun j -> Fleet_roll.replay ~disk ~jobs:j ())
+        ~signature:(fr_signature ~shard_roots:true) ~render:Fleet_roll.render
+        ~violations:(fun _ -> [])
     | _ ->
-      replay_all ~all_jobs
-        ~replay_one:(fun j -> Fleet_chaos.replay ~disk ~jobs:j ())
-        ~finish:(fun r ->
-          print_string (Fleet_chaos.render r);
-          if r.Fleet_chaos.violations = [] then `Ok ()
-          else begin
-            prerr_endline "ratool replay: replayed campaign violated invariants";
-            exit 1
-          end)
+      replay_checked ~jobs ~check_jobs
+        ~replay:(fun j -> Fleet_chaos.replay ~disk ~jobs:j ())
+        ~signature:fc_digest ~render:Fleet_chaos.render
+        ~violations:(fun r -> r.Fleet_chaos.violations)
   end
 
 let replay_cmd =
@@ -1140,18 +1066,15 @@ let loadgen_cmd =
     | Ok c ->
         print_string (Ra_server.Tcp.render_campaign c);
         let expected = Ra_server.Loadgen.expected_tampered ~devices in
-        if c.Ra_server.Tcp.acked <> devices * reports then begin
-          prerr_endline "ratool loadgen: campaign did not retire every report";
-          exit 1
-        end
-        else if c.Ra_server.Tcp.tampered <> expected then begin
-          Printf.eprintf
-            "ratool loadgen: verdict table shows %d tampered devices, plan \
-             infected %d\n"
-            c.Ra_server.Tcp.tampered expected;
-          exit 1
-        end
-        else `Ok ()
+        conclude "loadgen"
+          (if c.Ra_server.Tcp.acked <> devices * reports then
+             [ "campaign did not retire every report" ]
+           else if c.Ra_server.Tcp.tampered <> expected then
+             [
+               Printf.sprintf "verdict table shows %d tampered devices, plan infected %d"
+                 c.Ra_server.Tcp.tampered expected;
+             ]
+           else [])
   in
   let info = Cmd.info "loadgen" ~doc in
   Cmd.v info
@@ -1185,15 +1108,15 @@ let server_chaos_cmd =
     if trials < 1 then `Error (true, "--trials must be at least 1")
     else begin
       let report =
-        Ra_server.Server_chaos.run ~trials ~devices ~reports_per_device:reports
-          ~capacity ~seed ()
+        Server_chaos.run ~trials ~devices ~reports_per_device:reports ~capacity
+          ~seed ()
       in
-      print_string (Ra_server.Server_chaos.render report);
-      if Ra_server.Server_chaos.ok report then `Ok ()
-      else begin
-        prerr_endline "ratool server-chaos: recovery invariants violated";
-        exit 1
-      end
+      print_string (Server_chaos.render report);
+      conclude "server-chaos"
+        (List.concat_map
+           (fun t ->
+             List.map (Printf.sprintf "seed %d: %s" t.Server_chaos.seed) t.Server_chaos.failures)
+           report.Server_chaos.trials)
     end
   in
   let info = Cmd.info "server-chaos" ~doc in

@@ -33,6 +33,19 @@ type summary = {
   baselines : (string * float) list;
 }
 
+let fail = Harness.fail
+
+(* One trial's record; [run] fills in the trial index. *)
+let trial_outcome ~scheme ~profile ~completed_s plan vs =
+  {
+    trial = 0;
+    scheme;
+    profile;
+    plan = Faults.describe plan;
+    completed_s;
+    violations = Harness.to_list vs;
+  }
+
 let horizon = Timebase.s 60
 let fire_at = Timebase.s 45
 
@@ -82,44 +95,37 @@ let run_reliable ~trial_seed ~scheme ~scheme_name ~profile rng =
   Engine.run ~until:horizon eng;
   App.stop app;
   Engine.run ~until:(Timebase.s 300) eng;
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let vs = Harness.violations () in
   let completed_s = ref None in
   (match !result with
-  | None -> fail "session never reported a result"
+  | None -> fail vs "session never reported a result"
   | Some r ->
     (match r.Reliable_protocol.verdict with
-    | Some Verifier.Tampered -> fail "benign device reported Tampered"
+    | Some Verifier.Tampered -> fail vs "benign device reported Tampered"
     | Some Verifier.Clean ->
       completed_s :=
         Option.map Timebase.to_seconds r.Reliable_protocol.completed_at
     | None ->
-      fail "gave up after %d attempts (%d frames corrupted)"
+      fail vs "gave up after %d attempts (%d frames corrupted)"
         r.Reliable_protocol.attempts r.Reliable_protocol.corrupted_dropped);
     let crashes = Device.crash_count device in
     if r.Reliable_protocol.measurements_run > crashes + 1 then
-      fail "ran %d measurements for one session (%d crashes)"
+      fail vs "ran %d measurements for one session (%d crashes)"
         r.Reliable_protocol.measurements_run crashes;
     (match (profile, r.Reliable_protocol.completed_at, plan.Faults.crash_at) with
     | Faults.With_crash, Some at, Some crash_at when at > crash_at ->
       (* completed after the reboot: must have re-measured, the pre-crash
          cache is gone *)
       if r.Reliable_protocol.measurements_run < 1 then
-        fail "post-crash completion without any measurement"
+        fail vs "post-crash completion without any measurement"
     | _ -> ()));
   (match App.alarm_latency app with
-  | None -> fail "fire alarm never sounded"
+  | None -> fail vs "fire alarm never sounded"
   | Some l ->
     if l > Timebase.s 2 then
-      fail "fire alarm took %s (deadline 2 s)" (Timebase.to_string l));
-  {
-    trial = 0;
-    scheme = scheme_name;
-    profile = Faults.profile_to_string profile;
-    plan = Faults.describe plan;
-    completed_s = !completed_s;
-    violations = List.rev !violations;
-  }
+      fail vs "fire alarm took %s (deadline 2 s)" (Timebase.to_string l));
+  trial_outcome ~scheme:scheme_name ~profile:(Faults.profile_to_string profile)
+    ~completed_s:!completed_s plan vs
 
 (* --- ERASMUS: crash resilience of the self-measurement log -------------- *)
 
@@ -142,30 +148,24 @@ let run_erasmus ~trial_seed ~persistent rng =
   Erasmus.stop era;
   Engine.run ~until:(Timebase.add horizon (Timebase.s 5)) eng;
   let audit = Erasmus.audit ~expect_from:1 verifier (Erasmus.stored era) in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let vs = Harness.violations () in
   if audit.Erasmus.audit_tampered > 0 then
-    fail "%d stored reports audited as Tampered" audit.Erasmus.audit_tampered;
+    fail vs "%d stored reports audited as Tampered" audit.Erasmus.audit_tampered;
   if audit.Erasmus.out_of_order > 0 then
-    fail "%d reports out of order" audit.Erasmus.out_of_order;
+    fail vs "%d reports out of order" audit.Erasmus.out_of_order;
   let crashes = Device.crash_count device in
   let gap_width = List.fold_left (fun a (lo, hi) -> a + hi - lo + 1) 0 audit.Erasmus.gaps in
   if crashes = 0 && audit.Erasmus.gaps <> [] then
-    fail "log gap without any crash";
+    fail vs "log gap without any crash";
   if Erasmus.reports_lost_to_crash era > 0 && audit.Erasmus.gaps = [] then
-    fail "crash wiped %d reports but the audit saw no gap"
+    fail vs "crash wiped %d reports but the audit saw no gap"
       (Erasmus.reports_lost_to_crash era);
   if persistent && gap_width > crashes then
     (* a flash-backed log loses at most the measurement in flight per crash *)
-    fail "persistent log lost %d counters across %d crashes" gap_width crashes;
-  {
-    trial = 0;
-    scheme = (if persistent then "erasmus(flash)" else "erasmus(ram)");
-    profile = Faults.profile_to_string Faults.With_crash;
-    plan = Faults.describe plan;
-    completed_s = None;
-    violations = List.rev !violations;
-  }
+    fail vs "persistent log lost %d counters across %d crashes" gap_width crashes;
+  trial_outcome
+    ~scheme:(if persistent then "erasmus(flash)" else "erasmus(ram)")
+    ~profile:(Faults.profile_to_string Faults.With_crash) ~completed_s:None plan vs
 
 (* --- SeED: prover-initiated reports over a faulty uplink ---------------- *)
 
@@ -214,12 +214,11 @@ let run_seed ~trial_seed ~profile rng =
     Seed_ra.monitor verifier ~expected ~tolerance:(Timebase.s 2)
       (List.rev !inbox)
   in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let vs = Harness.violations () in
   if outcome.Seed_ra.tampered > 0 then
-    fail "%d benign reports classified Tampered" outcome.Seed_ra.tampered;
+    fail vs "%d benign reports classified Tampered" outcome.Seed_ra.tampered;
   if outcome.Seed_ra.replayed > 0 then
-    fail "%d false replay flags on a duplicate-free channel"
+    fail vs "%d false replay flags on a duplicate-free channel"
       outcome.Seed_ra.replayed;
   if
     Device.crash_count device > 0
@@ -227,15 +226,9 @@ let run_seed ~trial_seed ~profile rng =
     && outcome.Seed_ra.missing = 0 && !corrupted = 0
     && Channel.sent uplink = Channel.delivered uplink
     && Seed_ra.reports_sent prover < List.length expected
-  then fail "reports vanished without any fault accounting for them";
-  {
-    trial = 0;
-    scheme = "seed";
-    profile = Faults.profile_to_string profile;
-    plan = Faults.describe plan;
-    completed_s = None;
-    violations = List.rev !violations;
-  }
+  then fail vs "reports vanished without any fault accounting for them";
+  trial_outcome ~scheme:"seed" ~profile:(Faults.profile_to_string profile)
+    ~completed_s:None plan vs
 
 (* --- swarm: collective attestation under link loss ---------------------- *)
 
@@ -246,24 +239,18 @@ let run_swarm ~trial_seed rng =
   let loss = Float.min 0.2 plan.Faults.channel.Channel.loss in
   let config = { Ra_swarm.Swarm.default_config with Ra_swarm.Swarm.seed = trial_seed; loss } in
   let r = Ra_swarm.Swarm.run config ~infected:[] in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let vs = Harness.violations () in
   if r.Ra_swarm.Swarm.tampered > 0 then
-    fail "%d benign nodes reported tampered" r.Ra_swarm.Swarm.tampered;
+    fail vs "%d benign nodes reported tampered" r.Ra_swarm.Swarm.tampered;
   let accounted =
     r.Ra_swarm.Swarm.healthy + r.Ra_swarm.Swarm.tampered
     + r.Ra_swarm.Swarm.unresponsive
   in
   if accounted <> config.Ra_swarm.Swarm.nodes then
-    fail "accounting broke: %d of %d nodes" accounted config.Ra_swarm.Swarm.nodes;
-  {
-    trial = 0;
-    scheme = "swarm";
-    profile = Printf.sprintf "network-only (loss=%.2f)" loss;
-    plan = Faults.describe plan;
-    completed_s = None;
-    violations = List.rev !violations;
-  }
+    fail vs "accounting broke: %d of %d nodes" accounted config.Ra_swarm.Swarm.nodes;
+  trial_outcome ~scheme:"swarm"
+    ~profile:(Printf.sprintf "network-only (loss=%.2f)" loss)
+    ~completed_s:None plan vs
 
 (* --- baselines: fault-free completion time per on-demand scheme --------- *)
 

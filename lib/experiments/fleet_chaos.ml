@@ -152,40 +152,31 @@ module J = Ra_journal.Journal
 module Ev = Ra_journal.Event
 module Dsk = Ra_journal.Disk
 
-let campaign_event ~devices ~seed ~max_rounds =
-  Ev.make "campaign"
-    [
-      ("experiment", Ev.S "fleet-chaos");
-      ("devices", Ev.I devices);
-      ("seed", Ev.I seed);
-      ("max-rounds", Ev.I max_rounds);
-    ]
+(* The three numbers that rebuild the world: (devices, seed, max_rounds). *)
+let campaign =
+  {
+    Harness.experiment = "fleet-chaos";
+    params =
+      (fun (devices, seed, max_rounds) ->
+        [ ("devices", devices); ("seed", seed); ("max-rounds", max_rounds) ]);
+    of_params =
+      (fun get ->
+        match (get "devices", get "seed", get "max-rounds") with
+        | Some devices, Some seed, Some max_rounds when devices > 0 ->
+          Some (devices, seed, max_rounds)
+        | _ -> None);
+  }
 
-let campaign_end_event report =
-  Ev.make "campaign-end" [ ("digest", Ev.S report.Supervisor.counter_digest) ]
+let campaign_end report = [ ("digest", Ev.S report.Supervisor.counter_digest) ]
 
-let parse_campaign events =
-  if Array.length events = 0 then Error "journal is empty"
-  else begin
-    let e = events.(0) in
-    if e.Ev.tag <> "campaign" then
-      Error "journal does not start with a campaign record"
-    else if Ev.find_s e "experiment" <> Some "fleet-chaos" then
-      Error "journal records a different experiment"
-    else
-      match (Ev.find_i e "devices", Ev.find_i e "seed", Ev.find_i e "max-rounds") with
-      | Some devices, Some seed, Some max_rounds when devices > 0 ->
-        Ok (devices, seed, max_rounds)
-      | _ -> Error "malformed campaign record"
-  end
+let fail = Harness.fail
 
 let validate sup kinds report ~max_rounds =
   (* --- convergence invariants ------------------------------------------- *)
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let vs = Harness.violations () in
   if not report.Supervisor.converged then
-    fail "fleet did not converge within %d rounds" max_rounds;
-  List.iter (fun id -> fail "%s still unsettled" id) report.Supervisor.unsettled;
+    fail vs "fleet did not converge within %d rounds" max_rounds;
+  List.iter (fun id -> fail vs "%s still unsettled" id) report.Supervisor.unsettled;
   let quarantined = report.Supervisor.quarantined in
   let detection id = List.assoc_opt id report.Supervisor.detections in
   List.iter
@@ -194,32 +185,32 @@ let validate sup kinds report ~max_rounds =
       match kind with
       | Control | Lossy | Partition_heals | Crash_burst ->
         if state <> Health.Healthy then
-          fail "%s (%s) ended %s, expected healthy" id (kind_to_string kind)
+          fail vs "%s (%s) ended %s, expected healthy" id (kind_to_string kind)
             (Health.state_to_string state);
         if detection id <> None then
-          fail "%s (%s) falsely detected as tampered" id (kind_to_string kind)
+          fail vs "%s (%s) falsely detected as tampered" id (kind_to_string kind)
       | Infected ->
         if state <> Health.Healthy then
-          fail "%s (infected) ended %s, expected remediated back to healthy" id
+          fail vs "%s (infected) ended %s, expected remediated back to healthy" id
             (Health.state_to_string state);
         if not (List.mem id report.Supervisor.remediated) then
-          fail "%s (infected) was never remediated" id;
+          fail vs "%s (infected) was never remediated" id;
         (match detection id with
-        | None -> fail "%s (infected) was never detected" id
+        | None -> fail vs "%s (infected) was never detected" id
         | Some round ->
           let infect_round = 1 in
           if round - infect_round > qoa_bound_rounds then
-            fail "%s (infected) detected in round %d, beyond the QoA bound of %d rounds"
+            fail vs "%s (infected) detected in round %d, beyond the QoA bound of %d rounds"
               id round qoa_bound_rounds)
       | Partition_forever | Crash_loop ->
         (match List.assoc_opt id quarantined with
         | Some (Health.Probe_exhausted | Health.Flapping) -> ()
         | Some reason ->
-          fail "%s (%s) quarantined for %s, expected probe-exhausted" id
+          fail vs "%s (%s) quarantined for %s, expected probe-exhausted" id
             (kind_to_string kind)
             (Health.cause_to_string reason)
         | None ->
-          fail "%s (%s) ended %s, expected quarantined" id (kind_to_string kind)
+          fail vs "%s (%s) ended %s, expected quarantined" id (kind_to_string kind)
             (Health.state_to_string state)))
     kinds;
   (* every recorded transition must be a declared edge *)
@@ -230,46 +221,32 @@ let validate sup kinds report ~max_rounds =
           match Health.legal tr.Health.from_ tr.Health.cause with
           | Some to_ when to_ = tr.Health.to_ -> ()
           | _ ->
-            fail "%s recorded an undeclared transition %s -[%s]-> %s" id
+            fail vs "%s recorded an undeclared transition %s -[%s]-> %s" id
               (Health.state_to_string tr.Health.from_)
               (Health.cause_to_string tr.Health.cause)
               (Health.state_to_string tr.Health.to_))
         (Health.history (Supervisor.machine sup id)))
     kinds;
-  List.rev !violations
+  Harness.to_list vs
 
-let finish ~devices ~seed ~jobs ~max_rounds sup kinds report =
-  {
-    devices;
-    seed;
-    jobs;
-    report;
-    kinds;
-    violations = validate sup kinds report ~max_rounds;
-  }
+let finish (devices, seed, max_rounds) ~jobs sup kinds report =
+  let violations = validate sup kinds report ~max_rounds in
+  { devices; seed; jobs; report; kinds; violations }
 
 let run ?(devices = 200) ?(seed = 7) ?(jobs = 1) ?shards ?(max_rounds = 20) ?journal () =
-  (match journal with
-  | Some j ->
-    J.append j (campaign_event ~devices ~seed ~max_rounds);
-    J.commit j
-  | None -> ());
+  let params = (devices, seed, max_rounds) in
+  Option.iter (fun j -> Harness.begin_campaign campaign j params) journal;
   let sup, kinds = build ~devices ~seed ~max_rounds ~journal () in
   let report = Supervisor.run ~jobs ?shards ~min_rounds ~max_rounds sup in
-  (match journal with
-  | Some j ->
-    J.append j (campaign_end_event report);
-    J.commit j
-  | None -> ());
-  finish ~devices ~seed ~jobs ~max_rounds sup kinds report
+  Option.iter (fun j -> Harness.end_campaign j (campaign_end report)) journal;
+  finish params ~jobs sup kinds report
 
 (* --- crash / resume / replay -------------------------------------------- *)
 
 let record_killed ~disk ?(snapshot_every = 3) ?(devices = 200) ?(seed = 7)
     ?(jobs = 1) ?shards ?(max_rounds = 20) ~kill_at_round () =
   let j = J.create ~snapshot_every disk in
-  J.append j (campaign_event ~devices ~seed ~max_rounds);
-  J.commit j;
+  Harness.begin_campaign campaign j (devices, seed, max_rounds);
   let sup, _ = build ~devices ~seed ~max_rounds ~journal:(Some j) () in
   let rec loop () =
     if Supervisor.rounds_run sup >= kill_at_round then true
@@ -287,111 +264,77 @@ let record_killed ~disk ?(snapshot_every = 3) ?(devices = 200) ?(seed = 7)
     (* the power goes out mid-append: leave a torn half-record on the WAL
        tail, exactly what recovery must detect and truncate *)
     disk.Dsk.append J.wal_file (Bytes.of_string "RJ\x00\x00\x00\x2a\x00")
-  else begin
+  else
     (* the campaign converged before round K; complete the journal *)
-    J.append j (campaign_end_event (Supervisor.report sup));
-    J.commit j
-  end;
+    Harness.end_campaign j (campaign_end (Supervisor.report sup));
   killed
 
 let ( let* ) = Result.bind
 
-(* Re-execute the journaled prefix in verify mode (each re-emitted record
-   byte-compared against the recording), independently reconstruct the
-   state from snapshot + deltas, and demand both roads end at the same
-   bytes before continuing the campaign. The recover -> choose consistency
-   point -> validate -> resume skeleton is Journal.restart — the same
-   entry point the attestation server restarts through — with all the
-   fleet-chaos-specific verification living in the [validate] callback. *)
-let resume ~disk ?(jobs = 1) ?shards () =
-  let ctx = ref None in
-  let validate r ~keep =
-    let events = r.J.events in
-    let* devices, seed, max_rounds = parse_campaign events in
-    let rounds_done, _ = Supervisor.Recovery.completed_rounds events in
-    let* () =
-      if rounds_done = 0 then
-        Error "no completed round in the journal; nothing to resume"
-      else Ok ()
-    in
-    let prefix = Array.sub events 0 keep in
-    let vj = J.verifier prefix in
-    J.append vj (campaign_event ~devices ~seed ~max_rounds);
-    let sup, kinds = build ~devices ~seed ~max_rounds ~journal:(Some vj) () in
-    let base0 = Supervisor.serialize sup in
-    for _ = 1 to rounds_done do
-      Supervisor.round ~jobs ?shards sup
-    done;
-    let* () =
-      Result.map_error
-        (fun e -> "replay of the journaled prefix diverged: " ^ e)
-        (J.verified vj)
-    in
-    let base, after =
-      match r.J.snapshot with
-      | Some (_, covered, state) when covered <= keep -> (state, covered)
-      | _ -> (base0, 0)
-    in
-    let* recovered = Supervisor.Recovery.reconstruct ~base ~after prefix in
-    let* () =
-      if Bytes.equal recovered (Supervisor.serialize sup) then Ok ()
-      else
-        Error
-          "recovered state (snapshot + deltas) does not match the re-executed \
-           supervisor"
-    in
-    let* () = Supervisor.load sup recovered in
-    ctx := Some (sup, kinds, devices, seed, max_rounds);
-    Ok ()
-  in
-  let keep r = snd (Supervisor.Recovery.completed_rounds r.J.events) in
-  let* _, rj = J.restart ~validate disk ~keep in
-  match !ctx with
-  | None -> Error "restart validated but produced no supervisor (bug)"
-  | Some (sup, kinds, devices, seed, max_rounds) ->
-    Supervisor.attach_journal sup rj;
-    let report = Supervisor.run ~jobs ?shards ~min_rounds ~max_rounds sup in
-    J.append rj (campaign_end_event report);
-    J.commit rj;
-    Ok (finish ~devices ~seed ~jobs ~max_rounds sup kinds report)
-
-let replay ~disk ?(jobs = 1) ?shards () =
-  let* r = J.recover disk in
-  let events = r.J.events in
-  let* devices, seed, max_rounds = parse_campaign events in
-  let* () =
-    if
-      Array.length events > 0
-      && (events.(Array.length events - 1)).Ev.tag = "campaign-end"
-    then Ok ()
-    else
-      Error
-        "journal records an interrupted campaign (no campaign-end); resume it \
-         first: ratool fleet-chaos --resume"
-  in
-  let rounds_done, keep = Supervisor.Recovery.completed_rounds events in
-  let vj = J.verifier events in
-  J.append vj (campaign_event ~devices ~seed ~max_rounds);
+(* The one re-execute path behind resume and replay: rebuild the world
+   journaling into the verify-mode [vj] (each re-emitted record is
+   byte-compared against the recording), re-run the rounds completed in
+   the first [keep] recorded events, independently reconstruct the state
+   from snapshot + deltas, and demand both roads end at the same bytes. *)
+let reexecute (r : J.recovery) ~keep (devices, seed, max_rounds) vj ~jobs ?shards () =
+  let prefix = Array.sub r.J.events 0 keep in
+  let rounds_done, _ = Supervisor.Recovery.completed_rounds prefix in
   let sup, kinds = build ~devices ~seed ~max_rounds ~journal:(Some vj) () in
   let base0 = Supervisor.serialize sup in
   for _ = 1 to rounds_done do
     Supervisor.round ~jobs ?shards sup
   done;
-  let report = Supervisor.report sup in
-  J.append vj (campaign_end_event report);
-  let* () = Result.map_error (fun e -> "replay diverged: " ^ e) (J.verified vj) in
-  (* cross-check the snapshot/delta road against the executed state *)
   let base, after =
     match r.J.snapshot with
     | Some (_, covered, state) when covered <= keep -> (state, covered)
     | _ -> (base0, 0)
   in
-  let* recovered = Supervisor.Recovery.reconstruct ~base ~after events in
-  let* () =
-    if Bytes.equal recovered (Supervisor.serialize sup) then Ok ()
-    else Error "recovered state (snapshot + deltas) does not match the replay"
+  let* recovered = Supervisor.Recovery.reconstruct ~base ~after prefix in
+  if Bytes.equal recovered (Supervisor.serialize sup) then Ok (sup, kinds, recovered)
+  else
+    Error
+      "recovered state (snapshot + deltas) does not match the re-executed \
+       supervisor"
+
+let completed_keep r = snd (Supervisor.Recovery.completed_rounds r.J.events)
+
+(* The recover -> choose consistency point -> validate -> resume skeleton
+   is Journal.restart — the same entry point the attestation server
+   restarts through — with the re-execution in the [validate] callback. *)
+let resume ~disk ?(jobs = 1) ?shards () =
+  let ctx = ref None in
+  let validate r ~keep =
+    let* params = Harness.read_campaign campaign r.J.events in
+    let* () =
+      if fst (Supervisor.Recovery.completed_rounds r.J.events) = 0 then
+        Error "no completed round in the journal; nothing to resume"
+      else Ok ()
+    in
+    let vj = Harness.verifier campaign (Array.sub r.J.events 0 keep) params in
+    let* sup, kinds, recovered = reexecute r ~keep params vj ~jobs ?shards () in
+    let* () =
+      Result.map_error
+        (fun e -> "replay of the journaled prefix diverged: " ^ e)
+        (J.verified vj)
+    in
+    let* () = Supervisor.load sup recovered in
+    ctx := Some (sup, kinds, params);
+    Ok ()
   in
-  Ok (finish ~devices ~seed ~jobs ~max_rounds sup kinds report)
+  let* _, rj = J.restart ~validate disk ~keep:completed_keep in
+  match !ctx with
+  | None -> Error "restart validated but produced no supervisor (bug)"
+  | Some (sup, kinds, ((_, _, max_rounds) as params)) ->
+    Supervisor.attach_journal sup rj;
+    let report = Supervisor.run ~jobs ?shards ~min_rounds ~max_rounds sup in
+    Harness.end_campaign rj (campaign_end report);
+    Ok (finish params ~jobs sup kinds report)
+
+let replay ~disk ?(jobs = 1) ?shards () =
+  Harness.replay campaign disk (fun r params vj ->
+      let* sup, kinds, _ = reexecute r ~keep:(completed_keep r) params vj ~jobs ?shards () in
+      let report = Supervisor.report sup in
+      Ok (finish params ~jobs sup kinds report, campaign_end report))
 
 let render r =
   let b = Buffer.create 2048 in

@@ -68,97 +68,51 @@ let expected_tampered devices =
 
 (* --- campaign framing in the journal ------------------------------------- *)
 
-module J = Ra_journal.Journal
-module Ev = Ra_journal.Event
+(* (devices, seed, shards). jobs is deliberately absent: the journal byte
+   stream must be identical for any --jobs, and it is — but shards is
+   recorded, because the roll-call record's shard roots depend on it. *)
+let campaign =
+  {
+    Harness.experiment = "fleet-roll";
+    params =
+      (fun (devices, seed, shards) ->
+        [ ("devices", devices); ("seed", seed); ("shards", shards) ]);
+    of_params =
+      (fun get ->
+        match (get "devices", get "seed", get "shards") with
+        | Some devices, Some seed, Some shards when devices > 0 && shards > 0 ->
+          Some (devices, seed, shards)
+        | _ -> None);
+  }
 
-(* jobs is deliberately absent: the journal byte stream must be identical
-   for any --jobs, and it is — but shards is recorded, because the
-   roll-call record's shard roots depend on it. *)
-let campaign_event ~devices ~seed ~shards =
-  Ev.make "campaign"
-    [
-      ("experiment", Ev.S "fleet-roll");
-      ("devices", Ev.I devices);
-      ("seed", Ev.I seed);
-      ("shards", Ev.I shards);
-    ]
+let campaign_end roll =
+  [ ("fleet-root", Ra_journal.Event.B roll.Fleet.fleet_root) ]
 
-let campaign_end_event roll =
-  Ev.make "campaign-end" [ ("fleet-root", Ev.B roll.Fleet.fleet_root) ]
-
-let parse_campaign events =
-  if Array.length events = 0 then Error "journal is empty"
-  else begin
-    let e = events.(0) in
-    if e.Ev.tag <> "campaign" then
-      Error "journal does not start with a campaign record"
-    else if Ev.find_s e "experiment" <> Some "fleet-roll" then
-      Error "journal records a different experiment"
-    else
-      match
-        (Ev.find_i e "devices", Ev.find_i e "seed", Ev.find_i e "shards")
-      with
-      | Some devices, Some seed, Some shards when devices > 0 && shards > 0 ->
-        Ok (devices, seed, shards)
-      | _ -> Error "malformed campaign record"
-  end
-
-let run ?(devices = 10_000) ?(seed = 7) ?shards ?jobs ?journal () =
-  let jobs = Option.value jobs ~default:(Ra_parallel.default_jobs ()) in
-  let shards = Option.value shards ~default:jobs in
-  (match journal with
-  | Some j ->
-    J.append j (campaign_event ~devices ~seed ~shards);
-    J.commit j
-  | None -> ());
+let roll_call ~devices ~seed ~shards ~jobs ?journal () =
   let fleet, provision_s = wall (fun () -> build ~devices ~seed) in
   let roll, roll_s =
     wall (fun () ->
         Fleet.sharded_roll_call fleet ~jobs ~shards ?journal Mp.default_config)
   in
-  (match journal with
-  | Some j ->
-    J.append j (campaign_end_event roll);
-    J.commit j
-  | None -> ());
   { devices; seed; shards; jobs; roll; provision_s; roll_s }
 
-let ( let* ) = Result.bind
+let run ?(devices = 10_000) ?(seed = 7) ?shards ?jobs ?journal () =
+  let jobs = Option.value jobs ~default:(Ra_parallel.default_jobs ()) in
+  let shards = Option.value shards ~default:jobs in
+  Option.iter (fun j -> Harness.begin_campaign campaign j (devices, seed, shards)) journal;
+  let r = roll_call ~devices ~seed ~shards ~jobs ?journal () in
+  Option.iter (fun j -> Harness.end_campaign j (campaign_end r.roll)) journal;
+  r
 
 (* Re-execute the recorded campaign in verify mode: every re-emitted record
    — including the roll-call record's counters, fleet root and shard roots
    — is byte-compared against the recording, so a verified replay is a
    proof that the hierarchical digest reproduces. *)
 let replay ~disk ?jobs () =
-  let* r = J.recover disk in
-  let events = r.J.events in
-  let* devices, seed, shards = parse_campaign events in
-  let* () =
-    if
-      Array.length events > 0
-      && (events.(Array.length events - 1)).Ev.tag = "campaign-end"
-    then Ok ()
-    else Error "journal records an interrupted campaign (no campaign-end)"
-  in
-  let vj = J.verifier events in
-  J.append vj (campaign_event ~devices ~seed ~shards);
-  let fleet, provision_s = wall (fun () -> build ~devices ~seed) in
-  let roll, roll_s =
-    wall (fun () ->
-        Fleet.sharded_roll_call fleet ?jobs ~shards ~journal:vj Mp.default_config)
-  in
-  J.append vj (campaign_end_event roll);
-  let* () = Result.map_error (fun e -> "replay diverged: " ^ e) (J.verified vj) in
-  Ok
-    {
-      devices;
-      seed;
-      shards;
-      jobs = Option.value jobs ~default:(Ra_parallel.default_jobs ());
-      roll;
-      provision_s;
-      roll_s;
-    }
+  let jobs = Option.value jobs ~default:(Ra_parallel.default_jobs ()) in
+  Harness.replay campaign disk (fun _ (devices, seed, shards) vj ->
+      let r = roll_call ~devices ~seed ~shards ~jobs ~journal:vj () in
+      Ok (r, campaign_end r.roll))
 
 let render r =
   let b = Buffer.create 1024 in

@@ -53,11 +53,6 @@ val replay :
     byte-compared against the recording, so [Ok] proves the counters, the
     fleet root and the per-shard roots all reproduce. *)
 
-val parse_campaign :
-  Ra_journal.Event.t array -> (int * int * int, string) Result.t
-(** [(devices, seed, shards)] from a journal's leading campaign record;
-    [Error] if the journal belongs to a different experiment. *)
-
 val render : result -> string
 (** Human-readable summary (throughput, verdict partition, cache counters,
     fleet root). *)

@@ -1,7 +1,7 @@
 (** End-to-end chaos gate for the attestation control plane.
 
     Each trial runs a seeded loadgen campaign over the simulated network
-    ({!Netsim}) under the harsh {!Ra_faults.Stream_faults.default} mix,
+    ({!Ra_server.Netsim}) under the harsh {!Ra_faults.Stream_faults.default} mix,
     injects a kill -9 at a seed-derived step, restarts through
     {!Ra_journal.Journal.restart}, and demands convergence to the exact
     state of an unkilled fault-free run of the same campaign:
@@ -18,7 +18,8 @@
 type trial = {
   seed : int;
   crash_step : int;
-  outcome : Netsim.outcome;
+  outcome : Ra_server.Netsim.outcome option;
+      (** [None] when the faulted campaign failed outright *)
   failures : string list;  (** empty iff every invariant held *)
 }
 
@@ -27,6 +28,9 @@ type report = {
   devices : int;
   reports_per_device : int;
   capacity : int;
+  other_jobs : int;
+      (** the second [--jobs] value every faulted campaign is re-run at;
+          never the jobs count the trials themselves ran at *)
   total_shed : int;
   total_retries : int;
   total_busy : int;
@@ -43,8 +47,6 @@ val run :
   unit ->
   report
 (** Defaults: 5 trials, 24 devices × 4 reports, capacity 8, seed 7. *)
-
-val ok : report -> bool
 
 val render : report -> string
 (** Human-readable trial-by-trial summary. *)

@@ -45,6 +45,14 @@ type outcome = {
   steps : int;
 }
 
+let signature o =
+  Printf.sprintf
+    "acc=%d shed=%d dedup=%d rej=%d rec=%d acked=%d retries=%d busy=%d dead=%d root=%s"
+    o.counters.Wire.accepted o.counters.Wire.shed o.counters.Wire.deduped
+    o.counters.Wire.rejected o.counters.Wire.recovered o.acked o.retries o.busy
+    o.dead_conns
+    (Ra_crypto.Bytesutil.to_hex o.root)
+
 (* One step of virtual time ~ 10 ms: the session tick. *)
 let step_ns = 10_000_000
 

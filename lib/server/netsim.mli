@@ -43,6 +43,10 @@ type outcome = {
   steps : int;
 }
 
+val signature : outcome -> string
+(** Every counter and the fleet root on one line — the comparison key for
+    determinism and [--jobs]-invariance checks. *)
+
 val run : ?jobs:int -> config -> (outcome, string) result
 (** Run one campaign to completion (every item acknowledged). [Error]
     when the campaign exceeds [max_steps] or a post-crash restart fails —

@@ -1,15 +1,14 @@
 (* Structure-of-arrays binary min-heap ordered by (key, seq).
 
-   Unlike {!Heap}, pushing allocates no per-entry record and the minimum is
-   read through [min_key]/[min_seq]/[min_value] + [drop_min] instead of an
+   Pushing allocates no per-entry record and the minimum is read through
+   [min_key]/[min_seq]/[min_value] + [drop_min] instead of an
    option-wrapped tuple, so a full push/pop cycle on a warm queue allocates
    nothing. Keys and sequence numbers live in unboxed [int array]s; values
    in a parallel ['a array]. A dropped slot keeps its last value until it is
    overwritten, so values must tolerate being referenced past their pop.
 
-   cross-check: {!Heap} is the bounds-checked reference; test/test_sim.ml
-   qcheck-diffs full push/pop schedules between the two (stable-sort
-   equivalence property). *)
+   cross-check: test/test_sim.ml qcheck-compares full push/pop schedules
+   against a stable sort of the pushed entries by (key, seq). *)
 
 type 'a t = {
   mutable keys : int array;

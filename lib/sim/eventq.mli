@@ -1,9 +1,9 @@
 (** Allocation-free binary min-heap ordered by [(key, seq)].
 
-    Drop-in ordering semantics of {!Heap} (stable FIFO tie-break on [seq])
-    with a structure-of-arrays layout: [push] on a warm queue and the
-    [min_key]/[min_seq]/[min_value] + [drop_min] pop protocol allocate
-    nothing, which is what the simulator hot loop wants.
+    Ties on [key] pop in FIFO [seq] order. With a structure-of-arrays
+    layout, [push] on a warm queue and the [min_key]/[min_seq]/[min_value]
+    + [drop_min] pop protocol allocate nothing, which is what the
+    simulator hot loop wants.
 
     The min-accessors raise [Invalid_argument] on an empty queue — guard
     with {!is_empty}. Popped value slots are only cleared when overwritten

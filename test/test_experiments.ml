@@ -456,6 +456,64 @@ let json_roundtrip_prop =
        QCheck.Gen.(string_size ~gen:char (int_bound 40)))
     (fun s -> String.equal s (json_string_roundtrip s))
 
+(* --- chaos-harness skeleton ---------------------------------------------- *)
+
+let sha_hex s =
+  Ra_crypto.Bytesutil.to_hex (Ra_crypto.Sha256.digest (Bytes.of_string s))
+
+(* Golden digests of the rendered reports, measured before the chaos
+   harnesses shared one skeleton: the merge must not move a single trial,
+   violation or counter. *)
+let test_chaos_render_golden () =
+  check Alcotest.string "Chaos.render, 14 trials"
+    "d1ff2c1142b6f65e8b51d3b6e922cea7fb7e3a072122678d82748263e6f902b8"
+    (sha_hex (Chaos.render (Chaos.run ~trials:14 ())))
+
+let test_server_chaos_render_golden () =
+  check Alcotest.string "Server_chaos.render, 2 trials"
+    "02871b361291ad45ae509e1ffb6ba661e5a9c26b0d90db741aa6f027a8f43443"
+    (sha_hex (Server_chaos.render (Server_chaos.run ~trials:2 ())))
+
+(* With the pool default at 1 and no ~jobs, the jobs-invariance re-run
+   must still run at another jobs value, or it compares nothing. *)
+let test_server_chaos_other_jobs () =
+  let before = Ra_parallel.default_jobs () in
+  Ra_parallel.set_default_jobs 1;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Ra_parallel.set_default_jobs before)
+      (fun () -> Server_chaos.run ~trials:1 ())
+  in
+  check Alcotest.bool "re-run at jobs <> 1" true (r.Server_chaos.other_jobs <> 1);
+  check Alcotest.(list string) "invariants" []
+    (List.concat_map (fun t -> t.Server_chaos.failures) r.Server_chaos.trials)
+
+let test_compare_reruns () =
+  let results =
+    Harness.compare_reruns ~signature:string_of_int 7
+      [
+        (Harness.Jobs 2, fun () -> Ok 7);
+        (Harness.Shards 3, fun () -> Ok 8);
+        (Harness.Same_seed, fun () -> Error "boom");
+      ]
+  in
+  check
+    Alcotest.(list (result string string))
+    "one entry per re-run, one message format"
+    [
+      Ok "jobs=2: bit-identical to the reference run";
+      Error "shards=3 diverged from the reference run:\n  7\n  8";
+      Error "same seed: boom";
+    ]
+    results
+
+let test_violations_in_order () =
+  let vs = Harness.violations () in
+  Harness.fail vs "first %d" 1;
+  Harness.fail vs "second %s" "two";
+  check Alcotest.(list string) "recorded order" [ "first 1"; "second two" ]
+    (Harness.to_list vs)
+
 let () =
   Alcotest.run "ra_experiments"
     [
@@ -513,6 +571,16 @@ let () =
           Alcotest.test_case "monotone in rate" `Quick test_dos_monotone_in_rate;
         ] );
       ("tablefmt", [ Alcotest.test_case "render" `Quick test_tablefmt ]);
+      ( "harness",
+        [
+          Alcotest.test_case "violations in order" `Quick test_violations_in_order;
+          Alcotest.test_case "re-run comparison" `Quick test_compare_reruns;
+          Alcotest.test_case "chaos render golden" `Slow test_chaos_render_golden;
+          Alcotest.test_case "server-chaos render golden" `Slow
+            test_server_chaos_render_golden;
+          Alcotest.test_case "server-chaos re-runs at other jobs" `Slow
+            test_server_chaos_other_jobs;
+        ] );
       ( "benchkit json",
         [
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;

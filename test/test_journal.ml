@@ -7,6 +7,7 @@ open Ra_journal
 module Prng = Ra_sim.Prng
 module Supervisor = Ra_supervisor.Supervisor
 module Fleet_chaos = Ra_experiments.Fleet_chaos
+module Fleet_roll = Ra_experiments.Fleet_roll
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -244,7 +245,7 @@ let test_kill_resume_jobs1 () =
 let test_kill_resume_jobs_mixed () =
   (* recorded under parallel execution, resumed sequentially: the journal
      and the continuation must not care *)
-  kill_resume_matches ~record_jobs:2 ~resume_jobs:2 ~kill_at_round:7
+  kill_resume_matches ~record_jobs:2 ~resume_jobs:1 ~kill_at_round:7
 
 let test_resume_refuses_garbage () =
   let store = Disk.Mem.create () in
@@ -290,6 +291,70 @@ let prop_corrupt_journal_never_illegal_edge =
            prefix), the campaign must still satisfy every invariant —
            including "every recorded transition is a declared edge" *)
         r.Fleet_chaos.violations = [])
+
+(* --- campaign journal goldens --------------------------------------------- *)
+
+let wal_digest disk =
+  match disk.Disk.read Journal.wal_file with
+  | None -> Alcotest.fail "no WAL"
+  | Some w ->
+    Printf.sprintf "%d %s" (Bytes.length w)
+      (Ra_crypto.Bytesutil.to_hex (Ra_crypto.Sha256.digest w))
+
+(* WAL bytes (length and SHA-256) measured before the campaign framing
+   moved into the shared harness: the journals must not change by a byte. *)
+let test_fleet_chaos_wal_golden () =
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  ignore (Fleet_chaos.run ~devices ~seed ~journal:(Journal.create disk) ());
+  check Alcotest.string "fleet-chaos WAL"
+    "205824 c4c115fe9c428b2006153512a8cf06cf179a1f209fdf56f0451e077e96450858"
+    (wal_digest disk)
+
+let record_fleet_roll () =
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  let r =
+    Fleet_roll.run ~devices:2000 ~shards:4 ~jobs:2 ~journal:(Journal.create disk) ()
+  in
+  (disk, r)
+
+let test_fleet_roll_wal_golden () =
+  let disk, _ = record_fleet_roll () in
+  check Alcotest.string "fleet-roll WAL"
+    "684 a70d5ca37cb899d6f757099d556bab4c17c53ba3b73cd79928b4e3ba820e904b"
+    (wal_digest disk)
+
+let test_fleet_roll_replay () =
+  let disk, recorded = record_fleet_roll () in
+  let root r = Ra_crypto.Bytesutil.to_hex r.Fleet_roll.roll.Ra_core.Fleet.fleet_root in
+  (match Fleet_roll.replay ~disk ~jobs:1 () with
+  | Error e -> Alcotest.failf "replay failed: %s" e
+  | Ok replayed -> check Alcotest.string "replayed fleet root" (root recorded) (root replayed));
+  (* rewrite the journal with one counter of the roll-call record altered *)
+  let events =
+    match Journal.recover disk with
+    | Ok r -> r.Journal.events
+    | Error e -> Alcotest.failf "recover failed: %s" e
+  in
+  let altered = Disk.Mem.disk (Disk.Mem.create ()) in
+  let j = Journal.create altered in
+  Array.iter
+    (fun e ->
+      Journal.append j
+        (if e.Event.tag <> "roll-call" then e
+         else
+           Event.make e.Event.tag
+             (List.map
+                (function
+                  | "hashed", Event.I n -> ("hashed", Event.I (n + 1)) | field -> field)
+                e.Event.fields)))
+    events;
+  Journal.commit j;
+  match Fleet_roll.replay ~disk:altered ~jobs:1 () with
+  | Ok _ -> Alcotest.fail "a journal with an altered roll-call record replayed"
+  | Error e ->
+    let prefix = "replay diverged: divergence at event 1" in
+    check Alcotest.string "fails at the altered record" prefix
+      (String.sub e 0 (min (String.length e) (String.length prefix)))
 
 (* A commit costs its batch, not the whole file so far: N append+sync
    pairs allocate O(total bytes). Counted in allocated bytes rather than
@@ -354,5 +419,14 @@ let () =
           Alcotest.test_case "refuses garbage journals" `Quick
             test_resume_refuses_garbage;
           qtest prop_corrupt_journal_never_illegal_edge;
+        ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "fleet-chaos WAL golden" `Slow
+            test_fleet_chaos_wal_golden;
+          Alcotest.test_case "fleet-roll WAL golden" `Quick
+            test_fleet_roll_wal_golden;
+          Alcotest.test_case "fleet-roll record, replay, tamper" `Quick
+            test_fleet_roll_replay;
         ] );
     ]

@@ -123,20 +123,13 @@ let test_netsim_sheds_and_converges () =
   if o.Netsim.busy = 0 then Alcotest.fail "no client ever absorbed a Busy";
   if o.Netsim.retries = 0 then Alcotest.fail "no client ever retried"
 
-let outcome_signature (o : Netsim.outcome) =
-  Printf.sprintf "acc=%d shed=%d dedup=%d rej=%d rec=%d acked=%d retries=%d busy=%d dead=%d root=%s"
-    o.Netsim.counters.Wire.accepted o.Netsim.counters.Wire.shed
-    o.Netsim.counters.Wire.deduped o.Netsim.counters.Wire.rejected
-    o.Netsim.counters.Wire.recovered o.Netsim.acked o.Netsim.retries
-    o.Netsim.busy o.Netsim.dead_conns (hex o.Netsim.root)
-
 let prop_netsim_deterministic =
   QCheck.Test.make ~name:"campaign outcome is a pure function of the seed"
     ~count:6
     QCheck.(int_bound 1000)
     (fun seed ->
       let config = { smoke_config with Netsim.seed } in
-      outcome_signature (run_ok config) = outcome_signature (run_ok config))
+      Netsim.signature (run_ok config) = Netsim.signature (run_ok config))
 
 let prop_netsim_jobs_invariant =
   QCheck.Test.make ~name:"campaign outcome is invariant across --jobs"
@@ -144,8 +137,8 @@ let prop_netsim_jobs_invariant =
     QCheck.(int_bound 1000)
     (fun seed ->
       let config = { smoke_config with Netsim.seed } in
-      outcome_signature (run_ok ~jobs:1 config)
-      = outcome_signature (run_ok ~jobs:4 config))
+      Netsim.signature (run_ok ~jobs:1 config)
+      = Netsim.signature (run_ok ~jobs:4 config))
 
 let test_netsim_restart_root_bit_identical () =
   let unkilled = run_ok smoke_config in
@@ -167,7 +160,7 @@ let test_netsim_golden_signatures () =
   List.iter
     (fun (seed, crash_at, want) ->
       let o = run_ok { smoke_config with Netsim.seed; crash_at } in
-      let got = Printf.sprintf "steps=%d %s" o.Netsim.steps (outcome_signature o) in
+      let got = Printf.sprintf "steps=%d %s" o.Netsim.steps (Netsim.signature o) in
       let label =
         Printf.sprintf "seed %d%s" seed
           (match crash_at with Some at -> Printf.sprintf " crash@%d" at | None -> "")

@@ -1,4 +1,4 @@
-(* Tests for the simulation kernel: PRNG, heap, time, engine, trace, stats. *)
+(* Tests for the simulation kernel: PRNG, event queue, time, engine, trace, stats. *)
 
 open Ra_sim
 
@@ -110,45 +110,10 @@ let test_prng_bytes () =
   Bytes.iter (fun c -> Hashtbl.replace seen c ()) b;
   check Alcotest.bool "byte diversity" true (Hashtbl.length seen > 150)
 
-(* --- Heap ---------------------------------------------------------------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  Heap.push h ~key:5 ~seq:0 "e";
-  Heap.push h ~key:1 ~seq:1 "a";
-  Heap.push h ~key:3 ~seq:2 "c";
-  Heap.push h ~key:1 ~seq:3 "b";
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "key order, ties by seq" [ "a"; "b"; "c"; "e" ]
-    (List.rev !order)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list (pair int int))
-    (fun entries ->
-      let h = Heap.create () in
-      List.iteri (fun seq (k, _) -> Heap.push h ~key:k ~seq k) entries;
-      let rec drain acc =
-        match Heap.pop h with Some (k, _, _) -> drain (k :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
-      popped = List.sort Int.compare popped)
-
-(* The contract both priority-queue implementations share: the pop
-   sequence equals a stable sort of the pushed entries by (key, seq).
-   Run against the legacy boxed Heap and the structure-of-arrays Eventq
-   that replaced it on the engine hot path. *)
-let prop_pop_is_stable_sort name push_all drain =
-  QCheck.Test.make
-    ~name:(name ^ " pop sequence = stable sort by (key, seq)")
+(* The queue's ordering contract: the pop sequence equals a stable sort
+   of the pushed entries by (key, seq). *)
+let prop_eventq_stable_sort =
+  QCheck.Test.make ~name:"Eventq pop sequence = stable sort by (key, seq)"
     ~count:300
     QCheck.(list (int_range (-50) 50))
     (fun keys ->
@@ -159,29 +124,8 @@ let prop_pop_is_stable_sort name push_all drain =
             match compare k1 k2 with 0 -> compare s1 s2 | c -> c)
           entries
       in
-      drain (push_all entries) = expected)
-
-let prop_heap_stable_sort =
-  prop_pop_is_stable_sort "Heap"
-    (fun entries ->
-      let h = Heap.create () in
-      List.iter (fun (k, seq) -> Heap.push h ~key:k ~seq (k, seq)) entries;
-      h)
-    (fun h ->
-      let rec drain acc =
-        match Heap.pop h with
-        | Some (_, _, v) -> drain (v :: acc)
-        | None -> List.rev acc
-      in
-      drain [])
-
-let prop_eventq_stable_sort =
-  prop_pop_is_stable_sort "Eventq"
-    (fun entries ->
       let q = Eventq.create () in
       List.iter (fun (k, seq) -> Eventq.push q ~key:k ~seq (k, seq)) entries;
-      q)
-    (fun q ->
       let rec drain acc =
         if Eventq.is_empty q then List.rev acc
         else begin
@@ -190,7 +134,7 @@ let prop_eventq_stable_sort =
           drain (v :: acc)
         end
       in
-      drain [])
+      drain [] = expected)
 
 let test_eventq_min_accessors () =
   let q = Eventq.create () in
@@ -209,19 +153,6 @@ let test_eventq_min_accessors () =
   check Alcotest.string "next" "late" (Eventq.min_value q);
   Eventq.clear q;
   check Alcotest.bool "cleared" true (Eventq.is_empty q)
-
-let test_heap_peek_clear () =
-  let h = Heap.create () in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  check Alcotest.bool "peek empty" true (Heap.peek h = None);
-  Heap.push h ~key:2 ~seq:0 21;
-  Heap.push h ~key:1 ~seq:1 11;
-  (match Heap.peek h with
-  | Some (1, 1, 11) -> ()
-  | Some _ | None -> Alcotest.fail "peek should see minimum");
-  check Alcotest.int "length" 2 (Heap.length h);
-  Heap.clear h;
-  check Alcotest.bool "cleared" true (Heap.is_empty h)
 
 (* --- Timebase -------------------------------------------------------------- *)
 
@@ -495,13 +426,6 @@ let () =
           qtest prop_int_in_bounds;
           qtest prop_float_unit_interval;
           qtest prop_permutation_valid;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear;
-          qtest prop_heap_sorted;
-          qtest prop_heap_stable_sort;
         ] );
       ( "eventq",
         [
