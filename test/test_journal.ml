@@ -420,7 +420,7 @@ let () =
             test_resume_refuses_garbage;
           qtest prop_corrupt_journal_never_illegal_edge;
         ] );
-      ( "campaign",
+      ( "wal",
         [
           Alcotest.test_case "fleet-chaos WAL golden" `Slow
             test_fleet_chaos_wal_golden;
