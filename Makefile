@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-update chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check perf-smoke clean
+.PHONY: build test lint lint-update chaos fleet fleet-chaos replay fleet-roll-replay serve server-chaos server-kill-gate check bench bench-json bench-check perf-smoke clean
 
 build:
 	dune build
@@ -49,7 +49,14 @@ fleet: build
 replay: build
 	dune exec bin/ratool.exe -- fleet-chaos --devices 200 --jobs 4 \
 	  --kill-at-round 5 --resume --check-jobs 1 --journal _build/fleet-chaos-journal
-	dune exec bin/ratool.exe -- replay --journal _build/fleet-chaos-journal/j4
+	dune exec bin/ratool.exe -- replay --journal _build/fleet-chaos-journal/j4 \
+	  --check-jobs 1
+
+# The other journaled campaign kind: a 1000-device roll call recorded,
+# then replayed byte-verifying the counters, fleet root and shard roots.
+fleet-roll-replay: build
+	dune exec bin/ratool.exe -- fleet --devices 1000 --journal _build/fleet-roll-journal
+	dune exec bin/ratool.exe -- replay --journal _build/fleet-roll-journal
 
 # Run the attestation control plane on localhost with a journal under
 # _build (kill -9 it and re-run: it restarts through Journal.restart).
@@ -70,7 +77,9 @@ server-chaos: build
 server-kill-gate: build
 	sh scripts/server_kill_gate.sh
 
-check: build test lint chaos fleet fleet-chaos replay server-chaos
+# Everything CI gates on, locally.
+check: build test lint chaos fleet fleet-chaos replay fleet-roll-replay \
+  server-chaos server-kill-gate perf-smoke
 
 # Full harness: regenerate every table/figure + Bechamel microbenchmarks.
 bench: build

@@ -1,134 +1,1 @@
-let seal payload =
-  let n = Bytes.length payload in
-  let frame = Bytes.create (n + 4) in
-  Bytes.blit payload 0 frame 0 n;
-  Ra_crypto.Bytesutil.store32_be frame n (Ra_crypto.Crc32.digest payload);
-  frame
-
-let open_ frame =
-  let n = Bytes.length frame - 4 in
-  if n < 0 then Error "frame too short"
-  else begin
-    let payload = Bytes.sub frame 0 n in
-    if Ra_crypto.Bytesutil.load32_be frame n = Ra_crypto.Crc32.digest payload then
-      Ok payload
-    else Error "frame check failed"
-  end
-
-(* --- stream framing ------------------------------------------------------ *)
-
-(* Over a datagram the payload length is implicit in the datagram itself;
-   over a byte stream it is not, so the stream encoding prepends a magic
-   and an explicit big-endian length:
-
-     'R' 'F' | u32 payload length | payload | u32 crc32(payload)
-
-   The magic is a cheap desynchronisation tripwire: a reader that lands
-   mid-frame (torn write, resumed half-read) fails on the magic or the
-   CRC, never by parsing payload bytes as a header. *)
-
-let stream_magic0 = 'R'
-let stream_magic1 = 'F'
-let stream_overhead = 2 + 4 + 4
-
-(* Large enough for any report burst a device legitimately sends, small
-   enough that a hostile length field cannot make the reader allocate
-   gigabytes before the CRC check. *)
-let max_payload = 1 lsl 20
-
-let seal_stream payload =
-  let n = Bytes.length payload in
-  if n > max_payload then invalid_arg "Frame.seal_stream: payload too large";
-  let frame = Bytes.create (n + stream_overhead) in
-  Bytes.set frame 0 stream_magic0;
-  Bytes.set frame 1 stream_magic1;
-  Ra_crypto.Bytesutil.store32_be frame 2 n;
-  Bytes.blit payload 0 frame 6 n;
-  Ra_crypto.Bytesutil.store32_be frame (6 + n) (Ra_crypto.Crc32.digest payload);
-  frame
-
-module Reader = struct
-  (* Accumulating reassembly buffer: [buf.[start .. start+len)] holds the
-     bytes not yet consumed. Feeding appends; parsing consumes whole
-     frames from the front. The buffer is compacted before it grows, so a
-     long-lived connection does not leak its own history. *)
-  type t = {
-    mutable buf : Bytes.t;
-    mutable start : int;
-    mutable len : int;
-    mutable dead : string option;  (* first framing error, sticky *)
-    mutable frames : int;
-    mutable bytes_fed : int;
-  }
-
-  type result = Frame of Bytes.t | Await | Corrupt of string
-
-  let create () =
-    { buf = Bytes.create 4096; start = 0; len = 0; dead = None; frames = 0; bytes_fed = 0 }
-
-  let buffered t = t.len
-  let frames t = t.frames
-  let bytes_fed t = t.bytes_fed
-
-  let ensure_room t extra =
-    let cap = Bytes.length t.buf in
-    if t.start + t.len + extra > cap then begin
-      (* compact first; grow only if the frame really needs it *)
-      if t.start > 0 then begin
-        Bytes.blit t.buf t.start t.buf 0 t.len;
-        t.start <- 0
-      end;
-      if t.len + extra > cap then begin
-        let cap' = max (t.len + extra) (2 * cap) in
-        let buf' = Bytes.create cap' in
-        Bytes.blit t.buf 0 buf' 0 t.len;
-        t.buf <- buf'
-      end
-    end
-
-  let feed t ?(off = 0) ?len chunk =
-    let len = match len with Some l -> l | None -> Bytes.length chunk - off in
-    if off < 0 || len < 0 || off + len > Bytes.length chunk then
-      invalid_arg "Frame.Reader.feed";
-    if t.dead = None && len > 0 then begin
-      ensure_room t len;
-      Bytes.blit chunk off t.buf (t.start + t.len) len;
-      t.len <- t.len + len;
-      t.bytes_fed <- t.bytes_fed + len
-    end
-
-  let die t msg =
-    t.dead <- Some msg;
-    t.len <- 0;
-    Corrupt msg
-
-  let next t =
-    match t.dead with
-    | Some msg -> Corrupt msg
-    | None ->
-      if t.len < 6 then Await
-      else begin
-        let at i = Bytes.get t.buf (t.start + i) in
-        if at 0 <> stream_magic0 || at 1 <> stream_magic1 then
-          die t "bad stream magic"
-        else begin
-          let n = Ra_crypto.Bytesutil.load32_be t.buf (t.start + 2) in
-          if n > max_payload then
-            die t (Printf.sprintf "frame length %d exceeds limit" n)
-          else if t.len < n + stream_overhead then Await
-          else begin
-            let payload = Bytes.sub t.buf (t.start + 6) n in
-            let crc = Ra_crypto.Bytesutil.load32_be t.buf (t.start + 6 + n) in
-            if crc <> Ra_crypto.Crc32.digest payload then
-              die t "stream frame check failed"
-            else begin
-              t.start <- t.start + n + stream_overhead;
-              t.len <- t.len - (n + stream_overhead);
-              if t.len = 0 then t.start <- 0;
-              t.frames <- t.frames + 1;
-              Frame payload
-            end
-          end
-        end
-      end
-end
+include Ra_journal.Frame

@@ -42,35 +42,23 @@ type prover_session = In_progress | Done of Report.t (* cached report *)
 (* --- wire helpers: [attempt u16 || nonce] requests, [seq u16 || report]
    replies, both CRC-framed ------------------------------------------------ *)
 
-let encode_request ~attempt nonce =
-  let b = Bytes.create (2 + Bytes.length nonce) in
-  Bytes.set b 0 (Char.chr ((attempt lsr 8) land 0xff));
-  Bytes.set b 1 (Char.chr (attempt land 0xff));
-  Bytes.blit nonce 0 b 2 (Bytes.length nonce);
+let seal_u16 v body =
+  let b = Bytes.create (2 + Bytes.length body) in
+  Bytes.set_uint16_be b 0 (v land 0xffff);
+  Bytes.blit body 0 b 2 (Bytes.length body);
   Frame.seal b
 
-let decode_request payload =
+let split_u16 payload =
   if Bytes.length payload < 2 then None
-  else
-    let attempt = (Char.code (Bytes.get payload 0) lsl 8) lor Char.code (Bytes.get payload 1) in
-    Some (attempt, Bytes.sub payload 2 (Bytes.length payload - 2))
+  else Some (Bytes.get_uint16_be payload 0, Bytes.sub payload 2 (Bytes.length payload - 2))
 
-let encode_reply ~seq report =
-  let wire = Report.encode report in
-  let b = Bytes.create (2 + Bytes.length wire) in
-  Bytes.set b 0 (Char.chr ((seq lsr 8) land 0xff));
-  Bytes.set b 1 (Char.chr (seq land 0xff));
-  Bytes.blit wire 0 b 2 (Bytes.length wire);
-  Frame.seal b
+let encode_request ~attempt nonce = seal_u16 attempt nonce
+
+let encode_reply ~seq report = seal_u16 seq (Report.encode report)
 
 let decode_reply payload =
-  if Bytes.length payload < 2 then None
-  else begin
-    let seq = (Char.code (Bytes.get payload 0) lsl 8) lor Char.code (Bytes.get payload 1) in
-    match Report.decode (Bytes.sub payload 2 (Bytes.length payload - 2)) with
-    | Ok report -> Some (seq, report)
-    | Error _ -> None
-  end
+  Option.bind (split_u16 payload) (fun (seq, wire) ->
+      Result.to_option (Result.map (fun report -> (seq, report)) (Report.decode wire)))
 
 let run device verifier config ?rtt ?(mp_hooks = Mp.null_hooks) ~on_done () =
   if config.max_attempts < 1 then invalid_arg "Reliable_protocol: max_attempts < 1";
@@ -108,7 +96,7 @@ let run device verifier config ?rtt ?(mp_hooks = Mp.null_hooks) ~on_done () =
       match Frame.open_ frame with
       | Error _ -> incr corrupted
       | Ok payload ->
-        (match decode_request payload with
+        (match split_u16 payload with
         | None -> incr corrupted
         | Some (attempt, request_nonce) ->
           let key = Bytes.to_string request_nonce in

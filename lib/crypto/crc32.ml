@@ -12,17 +12,17 @@ let table =
       done;
       !c)
 
-let update crc payload =
+let update_sub crc b off len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Crc32.digest_sub";
   let crc = ref (crc lxor 0xFFFFFFFF) in
-  Bytes.iter
-    (fun byte ->
-      crc := table.((!crc lxor Char.code byte) land 0xff) lxor (!crc lsr 8))
-    payload;
+  for i = off to off + len - 1 do
+    crc := table.((!crc lxor Char.code (Bytes.get b i)) land 0xff) lxor (!crc lsr 8)
+  done;
   !crc lxor 0xFFFFFFFF
+
+let update crc payload = update_sub crc payload 0 (Bytes.length payload)
 
 let digest payload = update 0 payload
 
-let to_bytes crc =
-  let b = Bytes.create 4 in
-  Bytesutil.store32_be b 0 crc;
-  b
+let digest_sub b off len = update_sub 0 b off len

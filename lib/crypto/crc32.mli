@@ -13,5 +13,6 @@ val digest : Bytes.t -> int
 val update : int -> Bytes.t -> int
 (** Streaming form: [update (update 0 a) b = digest (a ^ b)]. *)
 
-val to_bytes : int -> Bytes.t
-(** Big-endian 4-byte encoding. *)
+val digest_sub : Bytes.t -> int -> int -> int
+(** [digest_sub b off len] is [digest (Bytes.sub b off len)], computed in
+    place. Raises [Invalid_argument] on an invalid range. *)

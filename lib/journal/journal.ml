@@ -1,5 +1,3 @@
-open Ra_crypto
-
 let wal_file = "wal"
 
 let snap_tmp = "snap.tmp"
@@ -93,11 +91,7 @@ let snapshot t ~round ~state =
       Codec.i64 w round;
       Codec.i64 w covered;
       Codec.bytes w state;
-      let payload = Codec.contents w in
-      let framed = Bytes.create (Bytes.length payload + 4) in
-      Bytes.blit payload 0 framed 0 (Bytes.length payload);
-      Bytesutil.store32_be framed (Bytes.length payload) (Crc32.digest payload);
-      r.disk.Disk.write snap_tmp framed;
+      r.disk.Disk.write snap_tmp (Frame.seal (Codec.contents w));
       r.disk.Disk.sync snap_tmp;
       r.disk.Disk.rename snap_tmp (snap_name round);
       r.disk.Disk.sync_dir ();
@@ -107,13 +101,7 @@ let snapshot t ~round ~state =
       commit t
 
 let decode_snapshot buf =
-  let n = Bytes.length buf in
-  if n < 4 then Error "snapshot too short"
-  else begin
-    let payload = Bytes.sub buf 0 (n - 4) in
-    if Bytesutil.load32_be buf (n - 4) <> Crc32.digest payload then
-      Error "snapshot CRC mismatch"
-    else
+  Result.bind (Frame.open_ buf) (fun payload ->
       match
         let r = Codec.reader payload in
         let round = Codec.read_i64 r in
@@ -123,8 +111,7 @@ let decode_snapshot buf =
         (round, covered, state)
       with
       | s -> Ok s
-      | exception Codec.Corrupt msg -> Error msg
-  end
+      | exception Codec.Corrupt msg -> Error msg)
 
 type recovery = {
   events : Event.t array;

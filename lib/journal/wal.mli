@@ -1,9 +1,9 @@
 (** Record framing for the write-ahead log.
 
-    Each record is ["RJ"] (2 bytes) + sequence number (u32 BE) + payload
-    length (u32 BE) + payload + CRC-32 (u32 BE, over everything before
-    it) — the same [Crc32] frame-check discipline as the network
-    {!Ra_core.Frame}. The scan accepts the longest prefix of records
+    Each record is the {!Frame} record with magic ["RJ"] and one header
+    field, the sequence number:
+    ["RJ" | seq (u32) | len (u32) | payload | crc32 (u32)], payloads
+    capped at 1 GiB. The scan accepts the longest prefix of records
     whose CRCs check out {e and} whose sequence numbers are contiguous:
     a torn tail fails the CRC, a duplicated tail (re-appended bytes after
     a crash) repeats a sequence number. Everything after the first damage

@@ -251,6 +251,14 @@ let handle ?jobs t request =
   | Wire.Counters -> Wire.Stats (counters t)
 
 let handle_payload ?jobs t payload =
-  match Wire.decode_request payload with
-  | Error msg -> Wire.encode_response (Wire.Rejected msg)
-  | Ok req -> Wire.encode_response (handle ?jobs t req)
+  let response =
+    match Wire.decode_request payload with
+    | Error msg -> Wire.encode_response (Wire.Rejected msg)
+    | Ok req -> Wire.encode_response (handle ?jobs t req)
+  in
+  if Bytes.length response <= Ra_core.Frame.max_payload then response
+  else
+    Wire.encode_response
+      (Wire.Rejected
+         (Printf.sprintf "response of %d bytes exceeds the %d-byte frame cap"
+            (Bytes.length response) Ra_core.Frame.max_payload))

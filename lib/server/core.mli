@@ -47,7 +47,10 @@ val handle : ?jobs:int -> t -> Wire.request -> Wire.response
 val handle_payload : ?jobs:int -> t -> Bytes.t -> Bytes.t
 (** The transports' request pump: decode one request payload, {!handle}
     it, and encode the response. An undecodable payload is answered
-    [Rejected] without reaching the core (no counter moves). *)
+    [Rejected] without reaching the core (no counter moves); so is a
+    response too large for one stream frame ({!Ra_core.Frame.max_payload}),
+    e.g. [Fleet_health] over ~29k devices — the request's effects (the
+    drain) stand, only the answer is refused. *)
 
 val drain : ?jobs:int -> t -> int
 (** Verify everything queued and fold the verdicts into the world;

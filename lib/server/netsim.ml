@@ -157,16 +157,12 @@ let server_step t =
     (fun c ->
       if c.alive then begin
         let reset = deliver_due t c ~to_server:true in
-        let rec pump () =
-          match Frame.Reader.next c.server_reader with
-          | Frame.Reader.Await -> ()
-          | Frame.Reader.Corrupt _ -> kill_conn t c
-          | Frame.Reader.Frame payload ->
-              send t c ~to_server:false (Core.handle_payload t.core payload);
-              if c.alive then pump ()
+        let serve payload =
+          send t c ~to_server:false (Core.handle_payload t.core payload);
+          c.alive
         in
-        pump ();
-        if reset then kill_conn t c
+        if Result.is_error (Frame.Reader.drain c.server_reader serve) || reset then
+          kill_conn t c
       end)
     (List.rev t.conns)
 
@@ -197,16 +193,9 @@ let client_absorb t cl =
   | Some c ->
       if c.alive then begin
         let reset = deliver_due t c ~to_server:false in
-        let rec pump () =
-          match Frame.Reader.next c.client_reader with
-          | Frame.Reader.Await -> ()
-          | Frame.Reader.Corrupt _ -> kill_conn t c
-          | Frame.Reader.Frame payload ->
-              Session.receive cl.session ~now:t.now payload;
-              if c.alive then pump ()
-        in
-        pump ();
-        if reset then kill_conn t c
+        let receive payload = Session.receive cl.session ~now:t.now payload; c.alive in
+        if Result.is_error (Frame.Reader.drain c.client_reader receive) || reset then
+          kill_conn t c
       end
 
 let client_step t cl =

@@ -76,15 +76,11 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
     | 0 -> close_conn c
     | n ->
         Frame.Reader.feed c.reader ~len:n buf;
-        let rec pump () =
-          match Frame.Reader.next c.reader with
-          | Frame.Reader.Await -> ()
-          | Frame.Reader.Corrupt _ -> close_conn c
-          | Frame.Reader.Frame payload ->
-              queue_response c (Core.handle_payload ?jobs core payload);
-              if c.alive then pump ()
+        let serve payload =
+          queue_response c (Core.handle_payload ?jobs core payload);
+          c.alive
         in
-        pump ()
+        if Result.is_error (Frame.Reader.drain c.reader serve) then close_conn c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
   in
@@ -277,15 +273,8 @@ let run_campaign ?(host = "127.0.0.1") ?(give_up_after_s = 180.) ~port ~devices
         | 0 -> lost now cl
         | n ->
             Frame.Reader.feed cl.reader ~len:n buf;
-            let rec pump () =
-              match Frame.Reader.next cl.reader with
-              | Frame.Reader.Await -> ()
-              | Frame.Reader.Corrupt _ -> lost now cl
-              | Frame.Reader.Frame payload ->
-                  Session.receive cl.session ~now payload;
-                  pump ()
-            in
-            pump ()
+            let receive payload = Session.receive cl.session ~now payload; true in
+            if Result.is_error (Frame.Reader.drain cl.reader receive) then lost now cl
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
         | exception Unix.Unix_error _ -> lost now cl)
   in

@@ -89,6 +89,49 @@ let test_wal_corrupt_middle () =
   check Alcotest.bool "damage reported" true (scan.Wal.damage <> None);
   check Alcotest.bool "prefix only" true (List.length scan.Wal.records < 3)
 
+(* One flipped bit anywhere in the log costs exactly the record it lands
+   in and everything after it: the scan returns the intact prefix,
+   reports damage, and never a payload that differs from what was
+   written. *)
+let prop_wal_bit_flip_truncates =
+  QCheck.Test.make ~name:"wal bit flip keeps the intact prefix" ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 6) (string_of_size (Gen.int_bound 20)))
+        (int_bound 1_000_000))
+    (fun (payloads, bit) ->
+      let log = encode_log payloads in
+      let bit = bit mod (8 * Bytes.length log) in
+      let byte = bit / 8 in
+      Bytes.set log byte
+        (Char.chr (Char.code (Bytes.get log byte) lxor (1 lsl (bit mod 8))));
+      (* index of the record holding the flipped byte *)
+      let rec hit i start = function
+        | [] -> i
+        | p :: rest ->
+          let stop = start + Bytes.length (Wal.encode ~seq:(i + 1) (Bytes.of_string p)) in
+          if byte < stop then i else hit (i + 1) stop rest
+      in
+      let k = hit 0 0 payloads in
+      let scan = Wal.scan log in
+      scan.Wal.damage <> None
+      && List.map Bytes.to_string scan.Wal.records
+         = List.filteri (fun i _ -> i < k) payloads)
+
+(* A length field past the 1 GiB cap is damage in its own right: the scan
+   must not wait for (or allocate) the bytes it claims. *)
+let test_wal_implausible_length () =
+  let log = encode_log [ "one"; "two" ] in
+  let second = Bytes.length (Wal.encode ~seq:1 (Bytes.of_string "one")) in
+  Bytes.set log (second + 6) '\x80';
+  let scan = Wal.scan log in
+  check Alcotest.int "first record kept" 1 (List.length scan.Wal.records);
+  check
+    Alcotest.(option string)
+    "damage"
+    (Some (Printf.sprintf "implausible record length %d at offset %d" 0x80000003 second))
+    scan.Wal.damage
+
 (* --- journal over the fault-injecting disk ------------------------------- *)
 
 let ev i = Event.make "tick" [ ("n", Event.I i) ]
@@ -310,6 +353,34 @@ let test_fleet_chaos_wal_golden () =
     "205824 c4c115fe9c428b2006153512a8cf06cf179a1f209fdf56f0451e077e96450858"
     (wal_digest disk)
 
+(* Every snapshot file (name, length, SHA-256) measured before snapshot
+   framing moved onto the shared CRC trailer: not a byte may change. *)
+let test_fleet_chaos_snapshot_golden () =
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  ignore (Fleet_chaos.run ~devices ~seed ~journal:(Journal.create disk) ());
+  let snaps =
+    disk.Disk.list ()
+    |> List.filter (fun f -> String.starts_with ~prefix:"snap-" f)
+    |> List.sort compare
+    |> List.map (fun f ->
+           match disk.Disk.read f with
+           | None -> Alcotest.failf "listed snapshot %s unreadable" f
+           | Some b ->
+             Printf.sprintf "%s %d %s" f (Bytes.length b)
+               (Ra_crypto.Bytesutil.to_hex (Ra_crypto.Sha256.digest b)))
+  in
+  check
+    Alcotest.(list string)
+    "fleet-chaos snapshots"
+    [
+      "snap-00000003 6569 cb126e09bcccad7127bbbbe4bf347a3eed808394c7c6220386817c8362a7be0d";
+      "snap-00000006 6701 e832c7f44b119940d05f551965393938cd597e00d1de3eb0f6d5c39bc7297fa3";
+      "snap-00000009 6734 d545e4f9643aae0d0b258271684ed4223bbfeaf9d53f5de1cc4cec2244e32aba";
+      "snap-00000012 6734 bc550ecd61cad3f5fc43d6da74da7de18c463095647cef9df9f0ad4ea4dd7457";
+      "snap-00000015 6800 ae862a25b64205640f7e460bc66f1e61e1724440b65031692e41ea5beeb93203";
+    ]
+    snaps
+
 let record_fleet_roll () =
   let disk = Disk.Mem.disk (Disk.Mem.create ()) in
   let r =
@@ -391,6 +462,9 @@ let () =
             test_wal_duplicated_tail_rejected;
           Alcotest.test_case "corrupt middle truncates" `Quick
             test_wal_corrupt_middle;
+          qtest prop_wal_bit_flip_truncates;
+          Alcotest.test_case "implausible length truncates" `Quick
+            test_wal_implausible_length;
         ] );
       ( "crash",
         [
@@ -424,6 +498,8 @@ let () =
         [
           Alcotest.test_case "fleet-chaos WAL golden" `Slow
             test_fleet_chaos_wal_golden;
+          Alcotest.test_case "fleet-chaos snapshot golden" `Slow
+            test_fleet_chaos_snapshot_golden;
           Alcotest.test_case "fleet-roll WAL golden" `Quick
             test_fleet_roll_wal_golden;
           Alcotest.test_case "fleet-roll record, replay, tamper" `Quick

@@ -86,6 +86,20 @@ let test_wire_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty request decoded"
 
+(* A Fleet_health answer grows ~36 B per device: past ~29k devices it no
+   longer fits one stream frame. The shared request pump must answer a
+   small Rejected instead of handing a transport a payload that
+   [seal_stream] refuses (which used to kill the server on one request). *)
+let test_oversized_response_rejected () =
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  let core = Core.create ~config:{ Core.default_config with Core.devices = 30_000 } disk in
+  let response = Core.handle_payload core (Wire.encode_request Wire.Fleet_health) in
+  ignore (Frame.seal_stream response);
+  match Wire.decode_response response with
+  | Ok (Wire.Rejected _) -> ()
+  | Ok r -> Alcotest.failf "expected Rejected, got %s" (Wire.response_to_string r)
+  | Error e -> Alcotest.failf "undecodable response: %s" e
+
 (* --- netsim campaigns ---------------------------------------------------- *)
 
 let smoke_config =
@@ -524,6 +538,8 @@ let () =
           qtest prop_request_roundtrip;
           qtest prop_response_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage;
+          Alcotest.test_case "oversized response rejected" `Quick
+            test_oversized_response_rejected;
         ] );
       (* the tcp group forks a real server per test, and OCaml 5 forbids
          Unix.fork once domains exist — so it must run before the netsim
