@@ -454,6 +454,9 @@ let server_metrics ?jobs () =
     count_metric ~name:"server_shed" chaos.N.counters.Ra_server.Wire.shed;
     count_metric ~name:"server_recovered"
       chaos.N.counters.Ra_server.Wire.recovered;
+    (* journal commits of the restarted server: one per simulation step
+       that appended anything, however many reports the step carried *)
+    count_metric ~name:"server_commits" chaos.N.counters.Ra_server.Wire.commits;
     {
       name = "server_reports_s";
       value = float_of_int clean.N.acked /. clean_s;

@@ -25,6 +25,31 @@ let rec mkdir_p dir =
 let file ~dir =
   mkdir_p dir;
   let path name = Filename.concat dir name in
+  (* One append fd per file, opened by its first append and kept: an
+     append is one write(2) and a sync one fsync(2) on that fd, with no
+     channel buffer to allocate and no open/close per record. Any other
+     change to the name (write, truncate, rename, remove) closes it
+     first, so the fd never outlives the file it was opened on. *)
+  let appending = Hashtbl.create 4 in
+  let release name =
+    match Hashtbl.find_opt appending name with
+    | Some fd ->
+        Hashtbl.remove appending name;
+        (try Unix.close fd with Unix.Unix_error _ -> ())
+    | None -> ()
+  in
+  let append_fd name =
+    match Hashtbl.find_opt appending name with
+    | Some fd -> fd
+    | None ->
+        let fd =
+          Unix.openfile (path name)
+            [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+            0o644
+        in
+        Hashtbl.replace appending name fd;
+        fd
+  in
   let read name =
     let p = path name in
     if not (Sys.file_exists p) then None
@@ -40,27 +65,35 @@ let file ~dir =
     end
   in
   let write name b =
+    release name;
     let oc = open_out_bin (path name) in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () -> output_bytes oc b)
   in
-  let append name b =
-    let oc =
-      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (path name)
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_bytes oc b)
+  (* Unix.write loops until every byte is written *)
+  let append name b = ignore (Unix.write (append_fd name) b 0 (Bytes.length b)) in
+  let truncate name len =
+    release name;
+    Unix.truncate (path name) len
   in
-  let truncate name len = Unix.truncate (path name) len in
   let sync name =
-    match Unix.openfile (path name) [ Unix.O_WRONLY ] 0o644 with
-    | fd -> Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+    match Hashtbl.find_opt appending name with
+    | Some fd -> Unix.fsync fd
+    | None -> (
+        match Unix.openfile (path name) [ Unix.O_WRONLY ] 0o644 with
+        | fd -> Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
   in
-  let rename from_ to_ = Sys.rename (path from_) (path to_) in
-  let remove name = if Sys.file_exists (path name) then Sys.remove (path name) in
+  let rename from_ to_ =
+    release from_;
+    release to_;
+    Sys.rename (path from_) (path to_)
+  in
+  let remove name =
+    release name;
+    if Sys.file_exists (path name) then Sys.remove (path name)
+  in
   let sync_dir () =
     (* Directory fsync is the POSIX way to make renames durable; some
        platforms refuse to open a directory for reading — best effort. *)

@@ -31,7 +31,11 @@ type t = {
 
 val file : dir:string -> t
 (** Files under [dir] (created if missing). [sync] is a real [fsync];
-    [sync_dir] fsyncs the directory where the platform allows it. *)
+    [sync_dir] fsyncs the directory where the platform allows it. The
+    first [append] to a name opens one [O_APPEND] descriptor that later
+    appends and [sync]s of that name reuse; [write], [truncate], [rename]
+    and [remove] of the name close it. A [t] holds at most one open
+    descriptor per appended file for as long as it is in use. *)
 
 module Mem : sig
   type store

@@ -12,6 +12,8 @@ type record_state = {
   disk : Disk.t;
   snapshot_every : int;
   mutable next_seq : int;
+  mutable uncommitted : int;  (* records appended since the last commit *)
+  mutable commits : int;
 }
 
 type verify_state = {
@@ -34,7 +36,7 @@ let create ?(snapshot_every = 3) disk =
   disk.Disk.write wal_file Bytes.empty;
   disk.Disk.sync wal_file;
   disk.Disk.sync_dir ();
-  Record { disk; snapshot_every; next_seq = 1 }
+  Record { disk; snapshot_every; next_seq = 1; uncommitted = 0; commits = 0 }
 
 let skip_markers v =
   while
@@ -48,7 +50,8 @@ let append t ev =
   match t with
   | Record r ->
       r.disk.Disk.append wal_file (Wal.encode ~seq:r.next_seq (Event.encode ev));
-      r.next_seq <- r.next_seq + 1
+      r.next_seq <- r.next_seq + 1;
+      r.uncommitted <- r.uncommitted + 1
   | Verify v ->
       if v.divergence = None then begin
         skip_markers v;
@@ -72,8 +75,15 @@ let append t ev =
 
 let commit t =
   match t with
-  | Record r -> r.disk.Disk.sync wal_file
+  | Record r ->
+      if r.uncommitted > 0 then begin
+        r.disk.Disk.sync wal_file;
+        r.uncommitted <- 0;
+        r.commits <- r.commits + 1
+      end
   | Verify _ -> ()
+
+let commits t = match t with Record r -> r.commits | Verify _ -> 0
 
 let want_snapshot t ~round =
   match t with
@@ -167,7 +177,7 @@ let resume ?(snapshot_every = 3) disk recovery ~keep =
   let good = if keep = 0 then 0 else recovery.offsets.(keep - 1) in
   disk.Disk.truncate wal_file good;
   disk.Disk.sync wal_file;
-  Record { disk; snapshot_every; next_seq = keep + 1 }
+  Record { disk; snapshot_every; next_seq = keep + 1; uncommitted = 0; commits = 0 }
 
 let restart ?snapshot_every ?validate disk ~keep =
   match recover disk with

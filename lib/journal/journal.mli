@@ -40,7 +40,14 @@ val append : t -> Event.t -> unit
     mode: compare against the next recorded event. *)
 
 val commit : t -> unit
-(** Make all appended records durable. No-op in verify mode. *)
+(** Make all appended records durable with one [fsync]. A no-op when
+    nothing was appended since the last commit, and in verify mode — so a
+    caller can commit once per round without asking whether the round
+    appended anything. *)
+
+val commits : t -> int
+(** Commits that synced the log through this handle (0 in verify mode).
+    A {!resume}d journal starts again at 0. *)
 
 val want_snapshot : t -> round:int -> bool
 

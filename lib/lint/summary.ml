@@ -4,17 +4,20 @@
    Each function body is walked once per fixpoint round by a small
    abstract interpreter whose state is the multiset of currently-held
    lock classes plus a journal phase (none / appended / committed).
-   Branches fork the state and join conservatively: held locks join by
-   union (a lock held on SOME path counts as held), the journal phase by
-   minimum (an Ack is only safe if EVERY path journaled first), and
-   diverging branches (raise / failwith / exit) drop out of the join.
+   An append moves the phase to appended; a commit moves ANY phase to
+   committed, since one commit covers every record appended before it,
+   wherever it was staged (group commit). Branches fork the state and
+   join conservatively: held locks join by union (a lock held on SOME
+   path counts as held), the journal phase by minimum (an Ack is only
+   safe if EVERY path committed after its last append), and diverging
+   branches (raise / failwith / exit) drop out of the join.
    Lambda literals are walked where they appear, joined as "runs zero or
    more times at this program point" — which is exactly how the repo uses
    them (iterators under a held stripe lock).
 
    Per-function summaries — lock classes transitively acquired, a
    blocking-call witness, kernel-digest reachability while unlocked, the
-   guaranteed journal effect — feed back into callers on the next round;
+   journal effect — feed back into callers on the next round;
    the lattices are finite and grow monotonically, so the fixpoint
    terminates in a handful of rounds. Findings are emitted in a final
    pass over the converged summaries. *)
@@ -37,7 +40,13 @@ type options = {
 let default_options =
   { o_core = [ "lib/server/core.ml" ]; digest_guard = [ ("lib/cache/", "Store") ] }
 
-type jeff = J_id | J_appended | J_committed
+(* A function's journal effect on its caller's phase. Walking the body
+   from [none] and from [committed] pins it down: the phase transfer
+   functions built from "append", "commit" and min-joins are either a
+   constant or [min phase cap]. [J_staged] is [min phase appended]: some
+   path appends and no later commit covers it (a staging helper that
+   appends only for fresh requests). *)
+type jeff = J_id | J_staged | J_appended | J_committed
 
 type info = {
   fn : Callgraph.func;
@@ -46,7 +55,7 @@ type info = {
   mutable blocking : string option; (* witness token, transitive *)
   mutable digest_unlocked : (string * Location.t) option;
       (* witness: a kernel digest reachable from entry with no lock held *)
-  mutable jeff : jeff; (* guaranteed journal effect on every non-diverging path *)
+  mutable jeff : jeff; (* journal effect over every non-diverging path *)
 }
 
 let prefix_matches prefixes file =
@@ -149,6 +158,7 @@ type pass = {
   infos : (string, info) Hashtbl.t;
   mutable emit : raw list; (* only filled during the final pass *)
   mutable emitting : bool;
+  mutable journaled : bool; (* the current walk met a journal effect *)
   mutable edges : (string * string) list; (* caller -> resolved callee *)
   (* facts accumulated for the CURRENT function's summary *)
   mutable cur : info;
@@ -225,8 +235,12 @@ let apply_call p st ~loc ~path ~args =
     (* journal phase *)
     let st =
       match journal_op expanded with
-      | Some "append" -> { st with j = 1 }
-      | Some "commit" -> { st with j = (if st.j >= 1 then 2 else st.j) }
+      | Some "append" ->
+        p.journaled <- true;
+        { st with j = 1 }
+      | Some "commit" ->
+        p.journaled <- true;
+        { st with j = 2 }
       | Some "restart" ->
         let has_validate =
           List.exists
@@ -294,13 +308,12 @@ let apply_call p st ~loc ~path ~args =
            holding one here, leaves the kernel unguarded *)
         (if gi.digest_unlocked <> None && st.held = [] then
            note_digest_unlocked p ("via " ^ token) loc);
-        let st =
-          match gi.jeff with
-          | J_id -> st
-          | J_appended -> { st with j = 1 }
-          | J_committed -> { st with j = 2 }
-        in
-        st))
+        if gi.jeff <> J_id then p.journaled <- true;
+        match gi.jeff with
+        | J_id -> st
+        | J_staged -> { st with j = min st.j 1 }
+        | J_appended -> { st with j = 1 }
+        | J_committed -> { st with j = 2 }))
 
 (* Walk an expression; returns the exit state, or [None] if every path
    diverges. *)
@@ -329,14 +342,7 @@ let rec walk p st e =
   | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) -> (
     match walk p st scrut with
     | None -> None
-    | Some st ->
-      List.fold_left
-        (fun acc case ->
-          (match case.pc_guard with
-          | Some g -> ignore (walk p st g)
-          | None -> ());
-          join acc (walk p st case.pc_rhs))
-        None cases)
+    | Some st -> walk_cases p st cases)
   | Pexp_while (c, body) ->
     ignore (walk p st c);
     join (Some st) (walk p st body)
@@ -353,8 +359,8 @@ let rec walk p st e =
        value is used; effects join at the definition point *)
     join (Some st) (walk p st body)
   | Pexp_function cases ->
-    List.iter (fun case -> ignore (walk p st case.pc_rhs)) cases;
-    Some st
+    (* a [function] literal, like a [fun] one: zero or more runs here *)
+    join (Some st) (walk_cases p st cases)
   | Pexp_construct ({ txt; _ }, arg) ->
     let st =
       match arg with
@@ -404,6 +410,16 @@ let rec walk p st e =
     | None -> walk_default p st e)
   | _ -> walk_default p st e
 
+(* The join of a case list's exits, each case entered in [st]. *)
+and walk_cases p st cases =
+  List.fold_left
+    (fun acc case ->
+      (match case.Parsetree.pc_guard with
+      | Some g -> ignore (walk p st g)
+      | None -> ());
+      join acc (walk p st case.Parsetree.pc_rhs))
+    None cases
+
 and walk_pipe p st ~f ~x =
   match walk p st x with
   | None -> None
@@ -421,7 +437,8 @@ and walk_default p st e =
 
 (* The binding's own fun chain is the function, not a lambda literal:
    peel it before walking, or the Pexp_fun "runs zero or more times" join
-   would erase every function's guaranteed effects. *)
+   would erase every function's guaranteed effects. A trailing [function]
+   is the body too: exactly one of its cases runs. *)
 let rec peel_funs e =
   match e.Parsetree.pexp_desc with
   | Parsetree.Pexp_fun (_, _, _, body) -> peel_funs body
@@ -449,12 +466,34 @@ let analyze_function p info =
   info.blocking <- None;
   info.digest_unlocked <- None;
   p.cur <- info;
-  let exit = walk p entry_state (peel_funs info.fn.Callgraph.body) in
+  p.journaled <- false;
+  let body = peel_funs info.fn.Callgraph.body in
+  let walk_body st =
+    match body.Parsetree.pexp_desc with
+    | Parsetree.Pexp_function cases -> walk_cases p st cases
+    | _ -> walk p st body
+  in
+  let from_none = walk_body entry_state in
+  (* Findings come from the walk from [none]; the walk from [committed]
+     only completes the summary, and only a body that touches the journal
+     needs it. *)
+  let from_committed () =
+    let emitting = p.emitting in
+    p.emitting <- false;
+    let exit = walk_body { entry_state with j = 2 } in
+    p.emitting <- emitting;
+    exit
+  in
   info.jeff <-
-    (match exit with
+    (match from_none with
+    | None -> J_id
     | Some { j = 2; _ } -> J_committed
-    | Some { j = 1; _ } -> J_appended
-    | _ -> J_id);
+    | Some _ when not p.journaled -> J_id
+    | Some a -> (
+      match (a.j, from_committed ()) with
+      | 1, Some { j = 1; _ } -> J_appended
+      | 0, Some { j = 2; _ } -> J_id
+      | _ -> J_staged));
   let after =
     (List.sort compare info.acquires, info.blocking <> None,
      info.digest_unlocked <> None, info.jeff, List.length info.order)
@@ -471,7 +510,7 @@ let run ?(options = default_options) cg =
   | [] -> ([], infos)
   | f0 :: _ ->
   let p =
-    { options; cg; infos; emit = []; emitting = false; edges = [];
+    { options; cg; infos; emit = []; emitting = false; journaled = false; edges = [];
       cur = fresh_info f0 }
   in
   let changed = ref true in
@@ -583,5 +622,6 @@ let dump_info (info : info) =
     | None -> "")
     (match info.jeff with
     | J_id -> "id"
+    | J_staged -> "staged"
     | J_appended -> "appended"
     | J_committed -> "committed")

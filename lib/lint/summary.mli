@@ -18,7 +18,11 @@ type options = {
 
 val default_options : options
 
-type jeff = J_id | J_appended | J_committed
+type jeff =
+  | J_id
+  | J_staged  (** appends on some path that no later commit covers *)
+  | J_appended  (** ends appended-but-uncommitted on every path *)
+  | J_committed  (** ends committed on every path *)
 
 type info = {
   fn : Callgraph.func;

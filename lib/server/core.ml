@@ -144,42 +144,42 @@ let counters t =
     deduped = t.deduped;
     rejected = t.rejected;
     recovered = t.recovered;
+    commits = J.commits t.journal;
   }
+
+(* What staging leaves for the round's release: a response that needs no
+   commit, or an Ack, which exists only once the round's commit returned. *)
+type staged = Reply of Wire.response | Durable of { device : string; seq : int }
 
 let submit t ~device ~seq report =
   if not (World.known t.world device) then begin
     t.rejected <- t.rejected + 1;
-    Wire.Rejected (Printf.sprintf "unknown device %s" device)
+    Reply (Wire.Rejected (Printf.sprintf "unknown device %s" device))
   end
   else if seq < 1 then begin
     t.rejected <- t.rejected + 1;
-    Wire.Rejected "sequence numbers start at 1"
+    Reply (Wire.Rejected "sequence numbers start at 1")
   end
   else if Hashtbl.mem t.seen (device, seq) then begin
-    (* A retransmit of an already-durable report (the Ack was lost, or
-       the client outlived a crash we recovered from): re-acknowledge
-       without touching the journal. *)
+    (* A retransmit (the Ack was lost, the client outlived a crash we
+       recovered from, or the report was staged earlier in this round):
+       re-acknowledge without touching the journal. The Ack still waits
+       for the round's commit, which covers a copy staged in this round. *)
     t.deduped <- t.deduped + 1;
-    (* ralint: allow O1 — re-ack of a report (device, seq) already journaled
-       and committed before its first Ack; nothing new to make durable *)
-    Wire.Ack { device; seq }
+    Durable { device; seq }
   end
   else if Queue.length t.queue >= t.config.capacity then begin
     t.shed <- t.shed + 1;
-    Wire.Busy { queued = Queue.length t.queue; capacity = t.config.capacity }
+    Reply (Wire.Busy { queued = Queue.length t.queue; capacity = t.config.capacity })
   end
   else begin
-    (* Durable before acknowledged: the journal record and its commit
-       precede the Ack, so an Ack the client acted on is never lost to a
-       kill -9. *)
     J.append t.journal
       (Ev.make report_tag
          [ ("device", Ev.S device); ("seq", Ev.I seq); ("report", Ev.B report) ]);
-    J.commit t.journal;
     Hashtbl.replace t.seen (device, seq) ();
     Queue.add (device, seq, report) t.queue;
     t.accepted <- t.accepted + 1;
-    Wire.Ack { device; seq }
+    Durable { device; seq }
   end
 
 (* Drain the accepted queue through verification. Batch items are grouped
@@ -229,36 +229,48 @@ let drain ?jobs t =
     n
   end
 
-let handle ?jobs t request =
-  match request with
-  | Wire.Submit { device; seq; report } -> submit t ~device ~seq report
-  | Wire.Fleet_health ->
+let stage ?jobs t = function
+  | Error msg -> Reply (Wire.Rejected msg)
+  | Ok (Wire.Submit { device; seq; report }) -> submit t ~device ~seq report
+  | Ok Wire.Fleet_health ->
       ignore (drain ?jobs t);
-      Wire.Health (World.health t.world)
-  | Wire.Quarantine device ->
+      Reply (Wire.Health (World.health t.world))
+  | Ok (Wire.Quarantine device) ->
       if World.quarantine t.world device then begin
         J.append t.journal (Ev.make quarantine_tag [ ("device", Ev.S device) ]);
-        J.commit t.journal;
-        Wire.Ack { device; seq = 0 }
+        Durable { device; seq = 0 }
       end
       else begin
         t.rejected <- t.rejected + 1;
-        Wire.Rejected (Printf.sprintf "unknown device %s" device)
+        Reply (Wire.Rejected (Printf.sprintf "unknown device %s" device))
       end
-  | Wire.Fleet_root ->
+  | Ok Wire.Fleet_root ->
       ignore (drain ?jobs t);
-      Wire.Root (World.root t.world)
-  | Wire.Counters -> Wire.Stats (counters t)
+      Reply (Wire.Root (World.root t.world))
+  | Ok Wire.Counters -> Reply (Wire.Stats (counters t))
 
-let handle_payload ?jobs t payload =
-  let response =
-    match Wire.decode_request payload with
-    | Error msg -> Wire.encode_response (Wire.Rejected msg)
-    | Ok req -> Wire.encode_response (handle ?jobs t req)
-  in
-  if Bytes.length response <= Ra_core.Frame.max_payload then response
+(* Group commit. Stage every request of the round (validate, dedup,
+   append, queue), make the round durable with one commit — a no-op when
+   nothing was appended — and only then build the Acks: no response of a
+   round exists before its commit, so an Ack the client acts on is never
+   lost to a kill -9. *)
+let round ?jobs t requests =
+  let staged = Array.map (stage ?jobs t) requests in
+  J.commit t.journal;
+  Array.map
+    (function Reply response -> response | Durable { device; seq } -> Wire.Ack { device; seq })
+    staged
+
+let handle ?jobs t request = (round ?jobs t [| Ok request |]).(0)
+
+let encode response =
+  let payload = Wire.encode_response response in
+  if Bytes.length payload <= Ra_core.Frame.max_payload then payload
   else
     Wire.encode_response
       (Wire.Rejected
          (Printf.sprintf "response of %d bytes exceeds the %d-byte frame cap"
-            (Bytes.length response) Ra_core.Frame.max_payload))
+            (Bytes.length payload) Ra_core.Frame.max_payload))
+
+let handle_round ?jobs t payloads =
+  Array.map encode (round ?jobs t (Array.map Wire.decode_request payloads))

@@ -12,7 +12,18 @@
       journaled and committed {e before} its [Ack], and {!recover}
       rebuilds the verdict table by re-verifying the journaled bytes
       through {!Ra_journal.Journal.restart} — verdicts are recomputed,
-      never trusted from disk. *)
+      never trusted from disk.
+
+    {b Rounds and group commit.} The transports hand the core a {e round}
+    of requests: every frame a select(2) pass read ({!Tcp}), or every
+    frame delivered in one simulation step ({!Netsim}). The round is
+    staged request by request, in order — validate, dedup, journal
+    append, queue — then made durable by {e one} journal commit (one
+    [fsync]; none when the round appended nothing), and only after that
+    commit are the round's Acks built and its responses released. No
+    response of a round exists before the round's commit: a dedup Ack
+    for a report staged earlier in the same round waits for it too, and
+    a power cut at the commit releases nothing. *)
 
 type config = {
   devices : int;  (** roster size (shared recipe with {!Loadgen}) *)
@@ -36,21 +47,24 @@ val recover : Ra_journal.Disk.t -> (t, string) result
     rebuilds the world, and each journaled report is re-verified to
     rebuild verdicts and the dedup set. [counters] restart with
     [accepted = recovered =] the replayed count; [shed]/[deduped]/
-    [rejected] are per-incarnation. *)
+    [rejected]/[commits] are per-incarnation. *)
 
-val handle : ?jobs:int -> t -> Wire.request -> Wire.response
-(** Serve one request. [Submit] journals-then-acks, re-acks duplicates,
-    or sheds with [Busy] when the queue is full. [Fleet_health] and
-    [Fleet_root] drain the queue first, so their answers reflect every
-    acknowledged report. *)
-
-val handle_payload : ?jobs:int -> t -> Bytes.t -> Bytes.t
-(** The transports' request pump: decode one request payload, {!handle}
-    it, and encode the response. An undecodable payload is answered
+val handle_round : ?jobs:int -> t -> Bytes.t array -> Bytes.t array
+(** Serve one round: decode every request payload, stage them in order,
+    commit once, then encode one response per payload, in the same
+    order. Each request sees the effects of those before it, exactly as
+    if they were served one at a time. An undecodable payload is answered
     [Rejected] without reaching the core (no counter moves); so is a
     response too large for one stream frame ({!Ra_core.Frame.max_payload}),
     e.g. [Fleet_health] over ~29k devices — the request's effects (the
     drain) stand, only the answer is refused. *)
+
+val handle : ?jobs:int -> t -> Wire.request -> Wire.response
+(** A round of one request, through the same staging and commit.
+    [Submit] journals-then-acks, re-acks duplicates, or sheds with [Busy]
+    when the queue is full. [Fleet_health] and [Fleet_root] drain the
+    queue first, so their answers reflect every report accepted before
+    them. *)
 
 val drain : ?jobs:int -> t -> int
 (** Verify everything queued and fold the verdicts into the world;

@@ -152,19 +152,33 @@ let deliver_due t c ~to_server =
 
 (* --- server side --------------------------------------------------------- *)
 
+(* One step is one round: every frame delivered to every connection, in
+   connection order, goes to Core in one batch (one commit), and each
+   connection then gets its responses in arrival order. A connection
+   reset or corrupted in this step still has its frames served; it never
+   sees the answers. *)
 let server_step t =
-  List.iter
-    (fun c ->
-      if c.alive then begin
-        let reset = deliver_due t c ~to_server:true in
-        let serve payload =
-          send t c ~to_server:false (Core.handle_payload t.core payload);
-          c.alive
-        in
-        if Result.is_error (Frame.Reader.drain c.server_reader serve) || reset then
-          kill_conn t c
-      end)
-    (List.rev t.conns)
+  let arrived =
+    List.concat_map
+      (fun c ->
+        if not c.alive then []
+        else begin
+          let reset = deliver_due t c ~to_server:true in
+          let frames = ref [] in
+          let collect payload =
+            frames := (c, payload) :: !frames;
+            true
+          in
+          if Result.is_error (Frame.Reader.drain c.server_reader collect) || reset then
+            kill_conn t c;
+          List.rev !frames
+        end)
+      (List.rev t.conns)
+  in
+  if arrived <> [] then begin
+    let responses = Core.handle_round t.core (Array.of_list (List.map snd arrived)) in
+    List.iteri (fun i (c, _) -> send t c ~to_server:false responses.(i)) arrived
+  end
 
 let crash t =
   Ra_journal.Disk.Mem.crash ~rng:t.crash_rng t.store;

@@ -12,11 +12,14 @@ open Ra_core
    - responses go through a per-connection out-buffer, so a client that
      stops *reading* absorbs its own backpressure (and is disconnected at
      a buffer cap) instead of blocking the accept loop in write(2);
-   - the out-buffers are flushed once per select round, after every
-     readable connection was served: a pipelining client gets its Acks in
-     one write(2) and one wakeup, not one per report, so throughput does
-     not follow the scheduler's wakeup latency. Every Ack in a buffer was
-     already journaled and committed by Core. *)
+   - one select round is one Core round: every frame read from every
+     readable connection goes to Core.handle_round together, so the round
+     costs one journal commit (one fsync) however many reports it carries,
+     and its Acks exist only after that commit;
+   - the out-buffers are flushed once per select round, after the round's
+     responses were queued: a pipelining client gets its Acks in one
+     write(2) and one wakeup, not one per report, so throughput does not
+     follow the scheduler's wakeup latency. *)
 
 let chunk_size = 8192
 let out_cap = 4 * 1024 * 1024
@@ -71,18 +74,25 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
     host port cfg.Core.devices cfg.Core.seed cfg.Core.capacity c0.Wire.recovered;
   let conns = ref [] in
   let buf = Bytes.create chunk_size in
-  let handle_readable c =
+  (* The frames one readable connection holds now, oldest first. *)
+  let read_frames c =
     match Unix.read c.fd buf 0 chunk_size with
-    | 0 -> close_conn c
+    | 0 ->
+        close_conn c;
+        []
     | n ->
         Frame.Reader.feed c.reader ~len:n buf;
-        let serve payload =
-          queue_response c (Core.handle_payload ?jobs core payload);
-          c.alive
+        let frames = ref [] in
+        let collect payload =
+          frames := (c, payload) :: !frames;
+          true
         in
-        if Result.is_error (Frame.Reader.drain c.reader serve) then close_conn c
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> close_conn c
+        if Result.is_error (Frame.Reader.drain c.reader collect) then close_conn c;
+        List.rev !frames
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> []
+    | exception Unix.Unix_error _ ->
+        close_conn c;
+        []
   in
   let rec loop () =
     conns := List.filter (fun c -> c.alive) !conns;
@@ -106,9 +116,21 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
             :: !conns
       | exception Unix.Unix_error _ -> ()
     end;
-    List.iter
-      (fun c -> if c.alive && List.mem c.fd readable then handle_readable c)
-      !conns;
+    let arrived =
+      List.concat_map
+        (fun c -> if c.alive && List.mem c.fd readable then read_frames c else [])
+        !conns
+    in
+    (* the round: one commit for every frame read, no Core call (so no
+       fsync) when nothing arrived *)
+    if arrived <> [] then begin
+      let responses =
+        Core.handle_round ?jobs core (Array.of_list (List.map snd arrived))
+      in
+      List.iteri
+        (fun i (c, _) -> if c.alive then queue_response c responses.(i))
+        arrived
+    end;
     (* this round's responses, plus whatever a backed-up socket now takes *)
     List.iter (fun c -> if c.alive && Bytes.length c.out > 0 then flush_conn c) !conns;
     if Core.pending core > 0 then ignore (Core.drain ?jobs core);
@@ -360,9 +382,9 @@ let render_campaign (c : campaign) =
   let p fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   p "loadgen: acked=%d retries=%d busy=%d reconnects=%d in %.2f s (%.0f reports/s)"
     c.acked c.retries c.busy c.reconnects c.wall_s c.reports_per_s;
-  p "  server: accepted=%d shed=%d deduped=%d rejected=%d recovered=%d"
+  p "  server: accepted=%d shed=%d deduped=%d rejected=%d recovered=%d commits=%d"
     c.stats.Wire.accepted c.stats.Wire.shed c.stats.Wire.deduped
-    c.stats.Wire.rejected c.stats.Wire.recovered;
+    c.stats.Wire.rejected c.stats.Wire.recovered c.stats.Wire.commits;
   p "  fleet:  clean=%d tampered=%d root=%s" c.clean c.tampered
     (Ra_crypto.Bytesutil.to_hex c.root);
   Buffer.contents b

@@ -7,12 +7,19 @@
     through per-connection out-buffers, so a client that stalls
     mid-frame or stops reading parks its own state without ever blocking
     another session — the stalled-client property the unit tests pin
-    down. The out-buffers are flushed once per select round, after every
-    readable connection was served, so a pipelining client receives a
+    down.
+
+    One select round is one {!Core.handle_round}: every frame read from
+    every readable connection in that pass is staged together, the round
+    is made durable by one journal commit (one [fsync], however many
+    reports it carries), and only then are its Acks built and queued on
+    their connections in arrival order. A pass that read no frame makes
+    no Core call, so an idle server does no fsync. The out-buffers are
+    flushed once per select round, so a pipelining client receives a
     round's Acks in one write rather than one write per report. Every
     decision (shed/accept/dedup/journal/verdict) is {!Core}'s; kill -9
     this process at any instant and a restart recovers through the
-    journal. *)
+    journal, and no Ack was ever sent for a report it cannot recover. *)
 
 val serve :
   ?host:string ->
@@ -45,7 +52,7 @@ type campaign = {
   tampered : int;
   clean : int;
   wall_s : float;
-  reports_per_s : float;  (** acked / wall — honest, fsync-per-report *)
+  reports_per_s : float;  (** acked / wall, through the real fsync path *)
 }
 
 val run_campaign :

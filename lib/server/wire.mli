@@ -24,6 +24,9 @@ type counters = {
   deduped : int;  (** retransmits re-acknowledged without re-journaling *)
   rejected : int;  (** malformed or unknown-device submissions *)
   recovered : int;  (** reports replayed out of the journal at restart *)
+  commits : int;
+      (** journal commits (WAL fsyncs) since this start; with group commit
+          one per round that appended anything *)
 }
 
 type response =

@@ -12,6 +12,12 @@
 # the ingest window, not before or after it). The kill instant is wall
 # clock, so a whole attempt is retried a few times if the window is
 # missed; the root comparison itself is exact, never tolerance-based.
+#
+# The reference run's throughput and journal commits per accepted report
+# are printed (and kept in $WORK/reference.txt) but not gated: both follow
+# the wall clock, since a select round batches whatever arrived while the
+# server was busy with the previous one. The exact commit gate is
+# BENCH_sim.json's server_commits.
 set -eu
 
 RATOOL=_build/default/bin/ratool.exe
@@ -48,7 +54,13 @@ kill -9 $REF_PID 2>/dev/null || true
 wait $REF_PID 2>/dev/null || true
 
 [ -n "$REF_ROOT" ] || { echo "server_kill_gate: no root in reference run" >&2; exit 1; }
+REF_COMMITS=$(field_of "$WORK/ref-loadgen.log" commits)
+REF_RATE=$(sed -n 's/.*(\([0-9]*\) reports\/s).*/\1/p' "$WORK/ref-loadgen.log" | head -n 1)
+REF_RATIO=$(awk -v c="${REF_COMMITS:-0}" -v a="${REF_ACCEPTED:-0}" \
+  'BEGIN { if (a > 0) printf "%.3f", c / a; else print "n/a" }')
 echo "reference: accepted=$REF_ACCEPTED root=$REF_ROOT"
+echo "reference: $REF_RATE reports/s, $REF_COMMITS commits for $REF_ACCEPTED accepted ($REF_RATIO per report)" \
+  | tee "$WORK/reference.txt"
 
 # --- victim: kill -9 mid-ingest, restart, same journal -------------------
 attempt=1

@@ -411,6 +411,43 @@ let o_reordered_core () =
   check rules_testable "journal-before-Ack submit is clean" []
     (sorted_rules (plint [ ("lib/server/core.ml", ordered) ]))
 
+(* Group commit: a round stages its requests through a [function] helper
+   that appends only for some of them, commits once, then builds its
+   Acks. The Acks must come after that commit, and the commit after the
+   staging. *)
+let o_group_commit_round () =
+  let round release =
+    "module J = Ra_journal.Journal\n\
+     type staged = Reply of int | Durable of int\n\
+     let stage j = function Some d -> J.append j d; Durable d | None -> Reply 0\n\
+     let round j ds =\n" ^ release
+  and acks = "Array.map (function Reply r -> Wire.Rejected r | Durable d -> Wire.Ack d)" in
+  check rules_testable "a round that builds its Acks before its commit fires O1" [ "O1" ]
+    (sorted_rules
+       (plint
+          [ ( "lib/server/core.ml",
+              round
+                ("  let staged = Array.map (stage j) ds in\n\
+                 \  let out = " ^ acks ^ " staged in\n\
+                 \  J.commit j;\n\
+                 \  out\n") ) ]));
+  check rules_testable "a round that commits before staging fires O1" [ "O1" ]
+    (sorted_rules
+       (plint
+          [ ( "lib/server/core.ml",
+              round
+                ("  J.commit j;\n\
+                 \  let staged = Array.map (stage j) ds in\n\
+                 \  " ^ acks ^ " staged\n") ) ]));
+  check rules_testable "a round's Acks after its one commit are clean" []
+    (sorted_rules
+       (plint
+          [ ( "lib/server/core.ml",
+              round
+                ("  let staged = Array.map (stage j) ds in\n\
+                 \  J.commit j;\n\
+                 \  " ^ acks ^ " staged\n") ) ]))
+
 (* family C: secret flow *)
 
 let crypto_file body = [ ("lib/crypto/fixture.ml", body) ]
@@ -573,6 +610,8 @@ let () =
           Alcotest.test_case "O positive" `Quick o_positive;
           Alcotest.test_case "O negative" `Quick o_negative;
           Alcotest.test_case "reordered Core regression" `Quick o_reordered_core;
+          Alcotest.test_case "group-commit round regression" `Quick
+            o_group_commit_round;
           Alcotest.test_case "C positive" `Quick c_positive;
           Alcotest.test_case "C negative" `Quick c_negative;
           Alcotest.test_case "near-site waivers" `Quick program_waivers;

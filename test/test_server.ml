@@ -3,8 +3,9 @@
    ingest), crash recovery through Journal.restart, simulated-network
    campaigns under stream faults (determinism per seed, invariance across
    --jobs, restart root bit-identity, golden outcomes), the load
-   generator's retry session, and the real-TCP shell (a stalled client
-   must not block other sessions). *)
+   generator's retry session, the real-TCP shell (a stalled client must
+   not block other sessions), and group commit against a pure model
+   under power cuts and faulted crashes. *)
 
 open Ra_server
 module Prng = Ra_sim.Prng
@@ -59,7 +60,7 @@ let arb_response =
               (string_of_size (Gen.int_bound 12))));
       map (fun r -> Wire.Root (Bytes.of_string r)) (string_of_size (Gen.int_bound 32));
       map
-        (fun (a, b, c, d, e) ->
+        (fun ((a, b, c), (d, e, f)) ->
           Wire.Stats
             {
               Wire.accepted = abs a;
@@ -67,8 +68,9 @@ let arb_response =
               deduped = abs c;
               rejected = abs d;
               recovered = abs e;
+              commits = abs f;
             })
-        (tup5 small_int small_int small_int small_int small_int);
+        (pair (triple small_int small_int small_int) (triple small_int small_int small_int));
     ]
 
 let prop_response_roundtrip =
@@ -93,7 +95,9 @@ let test_wire_rejects_garbage () =
 let test_oversized_response_rejected () =
   let disk = Disk.Mem.disk (Disk.Mem.create ()) in
   let core = Core.create ~config:{ Core.default_config with Core.devices = 30_000 } disk in
-  let response = Core.handle_payload core (Wire.encode_request Wire.Fleet_health) in
+  let response =
+    (Core.handle_round core [| Wire.encode_request Wire.Fleet_health |]).(0)
+  in
   ignore (Frame.seal_stream response);
   match Wire.decode_response response with
   | Ok (Wire.Rejected _) -> ()
@@ -530,6 +534,338 @@ let test_core_root_jobs_invariant () =
   check Alcotest.string "jobs 2 root" r1 (run 2);
   check Alcotest.string "jobs 4 root" r1 (run 4)
 
+(* --- model-based crash property ----------------------------------------- *)
+
+(* Core on Disk.Mem against a pure model: a map from durable
+   (device, seq) to (verdict, mac) plus the durable quarantine set. A step
+   is a round of requests, a drain, or a crash. A round runs on a
+   tentative copy of the model, which becomes durable once the round's
+   responses are out. A crash is either a power cut at a round's commit
+   (the disk's sync raises, so the round must release no response) or
+   Disk.Mem.crash with the default fault mix; both end in Core.recover.
+   After a power cut, the round's appended records are in doubt: the WAL
+   keeps some prefix of them, and the model adopts the one prefix that
+   explains the recovered counters and root. *)
+
+exception Power_cut
+
+module Key_map = Map.Make (struct
+  type t = string * int
+
+  let compare = compare
+end)
+
+module Dev_set = Set.Make (String)
+
+let model_devices = 6
+let model_seed = 5
+let model_capacity = 6
+
+let model_config =
+  { Core.devices = model_devices; seed = model_seed; capacity = model_capacity }
+
+let model_plan =
+  lazy (Loadgen.plan ~devices:model_devices ~seed:model_seed ~reports_per_device:4)
+
+(* The verdict every report of a device must get: infected devices are
+   infected before their first report. *)
+let model_verdict (it : Loadgen.item) =
+  let i = ref (-1) in
+  for k = 0 to model_devices - 1 do
+    if World.device_id k = it.Loadgen.device then i := k
+  done;
+  let mac =
+    match Ra_core.Report.decode it.Loadgen.report with
+    | Ok r -> r.Ra_core.Report.mac
+    | Error e -> failwith e
+  in
+  ((if Loadgen.is_tampered !i then Ra_core.Verifier.Tampered else Ra_core.Verifier.Clean), mac)
+
+type mreq =
+  | Fresh of int  (** plan index: fresh, or a duplicate if already durable *)
+  | Ghost  (** a submit from an unknown device *)
+  | Quar of int  (** roster index; [model_devices] names an unknown device *)
+  | Root_q
+  | Health_q
+  | Counters_q
+
+type step = Round of mreq list | Cut of mreq list * int | Drain | Crash of int
+
+type model = {
+  reports : (Ra_core.Verifier.verdict * Bytes.t) Key_map.t;
+  quarantined : Dev_set.t;
+  queued : int;
+  commits : int;  (** this incarnation's journal commits *)
+}
+
+type appended = Report_rec of int (* plan index *) | Quarantine_rec of string
+
+let quar_device j = if j < model_devices then World.device_id j else "ghost-q"
+
+let mreq_to_string = function
+  | Fresh i -> Printf.sprintf "F%d" i
+  | Ghost -> "G"
+  | Quar j -> Printf.sprintf "Q%d" j
+  | Root_q -> "R"
+  | Health_q -> "H"
+  | Counters_q -> "C"
+
+let step_to_string = function
+  | Round rs -> "round[" ^ String.concat " " (List.map mreq_to_string rs) ^ "]"
+  | Cut (rs, s) ->
+      Printf.sprintf "cut[%s](%d)" (String.concat " " (List.map mreq_to_string rs)) s
+  | Drain -> "drain"
+  | Crash s -> Printf.sprintf "crash(%d)" s
+
+let to_request = function
+  | Fresh i ->
+      let it = (Lazy.force model_plan).(i) in
+      Wire.Submit { device = it.Loadgen.device; seq = it.Loadgen.seq; report = it.Loadgen.report }
+  | Ghost ->
+      Wire.Submit
+        { device = "ghost-0"; seq = 1; report = (Lazy.force model_plan).(0).Loadgen.report }
+  | Quar j -> Wire.Quarantine (quar_device j)
+  | Root_q -> Wire.Fleet_root
+  | Health_q -> Wire.Fleet_health
+  | Counters_q -> Wire.Counters
+
+let model_root m =
+  let w = World.build ~devices:model_devices ~seed:model_seed in
+  Key_map.iter (fun (device, seq) (v, mac) -> World.record w ~device ~seq v mac) m.reports;
+  Dev_set.iter (fun d -> ignore (World.quarantine w d)) m.quarantined;
+  World.root w
+
+let model_health m =
+  List.init model_devices (fun i ->
+      let d = World.device_id i in
+      if Dev_set.mem d m.quarantined then (d, "quarantined")
+      else
+        (* keys are ordered by (device, seq): the last hit is the highest seq *)
+        let last =
+          Key_map.fold
+            (fun (d', _) (v, _) acc -> if d' = d then Some v else acc)
+            m.reports None
+        in
+        match last with
+        | None -> (d, "unreported")
+        | Some Ra_core.Verifier.Clean -> (d, "clean")
+        | Some Ra_core.Verifier.Tampered -> (d, "tampered"))
+
+(* Apply one request to the tentative model: the expected response and
+   the journal record the request appends, if any. *)
+let model_step m = function
+  | Fresh i ->
+      let it = (Lazy.force model_plan).(i) in
+      let key = (it.Loadgen.device, it.Loadgen.seq) in
+      let ack = Wire.Ack { device = it.Loadgen.device; seq = it.Loadgen.seq } in
+      if Key_map.mem key m.reports then (m, ack, None)
+      else if m.queued >= model_capacity then
+        (m, Wire.Busy { queued = m.queued; capacity = model_capacity }, None)
+      else
+        ( { m with reports = Key_map.add key (model_verdict it) m.reports; queued = m.queued + 1 },
+          ack,
+          Some (Report_rec i) )
+  | Ghost -> (m, Wire.Rejected "", None)
+  | Quar j ->
+      let d = quar_device j in
+      if j >= model_devices then (m, Wire.Rejected "", None)
+      else
+        ( { m with quarantined = Dev_set.add d m.quarantined },
+          Wire.Ack { device = d; seq = 0 },
+          Some (Quarantine_rec d) )
+  | Root_q ->
+      let m = { m with queued = 0 } in
+      (m, Wire.Root (model_root m), None)
+  | Health_q ->
+      let m = { m with queued = 0 } in
+      (m, Wire.Health (model_health m), None)
+  | Counters_q ->
+      ( m,
+        Wire.Stats
+          {
+            Wire.accepted = Key_map.cardinal m.reports;
+            shed = 0;
+            deduped = 0;
+            rejected = 0;
+            recovered = 0;
+            commits = m.commits;
+          },
+        None )
+
+let same_response expected got =
+  match (expected, got) with
+  | Wire.Rejected _, Wire.Rejected _ -> true
+  | Wire.Stats e, Wire.Stats g ->
+      e.Wire.accepted = g.Wire.accepted && e.Wire.commits = g.Wire.commits
+  | e, g -> e = g
+
+let apply_record m = function
+  | Report_rec i ->
+      let it = (Lazy.force model_plan).(i) in
+      { m with reports = Key_map.add (it.device, it.seq) (model_verdict it) m.reports }
+  | Quarantine_rec d -> { m with quarantined = Dev_set.add d m.quarantined }
+
+(* [serve core requests] is one transport round. *)
+let run_model ~serve steps =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let store = Disk.Mem.create () in
+  let cut = ref false in
+  let base = Disk.Mem.disk store in
+  let disk =
+    { base with Disk.sync = (fun f -> if !cut then raise Power_cut else base.Disk.sync f) }
+  in
+  let core = ref (Core.create ~config:model_config disk) in
+  let m =
+    ref { reports = Key_map.empty; quarantined = Dev_set.empty; queued = 0; commits = 1 }
+  in
+  let acked = ref [] and acked_quarantines = ref [] in
+  let check_verdicts label =
+    if World.health (Core.world !core) <> model_health !m then
+      fail "%s: a device's verdict differs from the model's" label
+  in
+  (* run a round against the tentative model; [Some records] when the
+     round raised at its commit *)
+  let round reqs =
+    let m', expected, records =
+      List.fold_left
+        (fun (m, exp, recs) r ->
+          let m, e, rc = model_step m r in
+          (m, e :: exp, match rc with Some x -> x :: recs | None -> recs))
+        (!m, [], []) reqs
+    in
+    let expected = List.rev expected and records = List.rev records in
+    match serve !core (Array.of_list (List.map to_request reqs)) with
+    | exception Power_cut -> Some records
+    | got ->
+        if !cut && records <> [] then
+          fail "round appended %d record(s) yet released responses without a commit"
+            (List.length records);
+        List.iteri
+          (fun k (e, g) ->
+            if not (same_response e g) then
+              fail "response %d: expected %s, got %s" k (Wire.response_to_string e)
+                (Wire.response_to_string g);
+            match (List.nth reqs k, g) with
+            | Fresh i, Wire.Ack _ ->
+                let it = (Lazy.force model_plan).(i) in
+                acked := (it.Loadgen.device, it.Loadgen.seq) :: !acked
+            | Quar _, Wire.Ack { device; _ } -> acked_quarantines := device :: !acked_quarantines
+            | _ -> ())
+          (List.combine expected (Array.to_list got));
+        m := { m' with commits = (if records = [] then m'.commits else m'.commits + 1) };
+        None
+  in
+  let crash ~seed in_doubt =
+    Disk.Mem.crash ~faults:Disk.Mem.default_faults ~rng:(Prng.create ~seed) store;
+    match Core.recover disk with
+    | Error e -> fail "recovery failed: %s" e
+    | Ok c ->
+        core := c;
+        let ctr = Core.counters c in
+        if ctr.Wire.accepted <> ctr.Wire.recovered then
+          fail "after restart accepted=%d but recovered=%d" ctr.Wire.accepted
+            ctr.Wire.recovered;
+        (* every Ack the client saw names a record the journal still holds *)
+        (match Ra_journal.Journal.recover disk with
+        | Error e -> fail "journal unreadable after recovery: %s" e
+        | Ok r ->
+            let events = Array.to_list r.Ra_journal.Journal.events in
+            let ev = Ra_journal.Event.find_s and evi = Ra_journal.Event.find_i in
+            List.iter
+              (fun (d, s) ->
+                if
+                  not
+                    (List.exists
+                       (fun e -> ev e "device" = Some d && evi e "seq" = Some s)
+                       events)
+                then fail "acknowledged report %s#%d lost to a crash" d s)
+              !acked;
+            List.iter
+              (fun d ->
+                if
+                  not
+                    (List.exists
+                       (fun e -> e.Ra_journal.Event.tag = "quarantine" && ev e "device" = Some d)
+                       events)
+                then fail "acknowledged quarantine of %s lost to a crash" d)
+              !acked_quarantines);
+        let durable = { !m with queued = 0; commits = 0 } in
+        let root = Core.root c in
+        let rec adopt prefix rest =
+          let candidate = List.fold_left apply_record durable (List.rev prefix) in
+          if Key_map.cardinal candidate.reports = ctr.Wire.recovered
+             && Bytes.equal (model_root candidate) root
+          then candidate
+          else
+            match rest with
+            | [] ->
+                fail "recovered=%d and the root match no prefix of the %d in-doubt record(s)"
+                  ctr.Wire.recovered (List.length in_doubt)
+            | r :: rest -> adopt (r :: prefix) rest
+        in
+        m := adopt [] in_doubt;
+        check_verdicts "after recovery"
+  in
+  List.iter
+    (fun step ->
+      match step with
+      | Round reqs -> ignore (round reqs)
+      | Cut (reqs, seed) ->
+          cut := true;
+          let in_doubt = round reqs in
+          cut := false;
+          crash ~seed (Option.value in_doubt ~default:[])
+      | Drain ->
+          ignore (Core.drain !core);
+          m := { !m with queued = 0 };
+          check_verdicts "after drain"
+      | Crash seed -> crash ~seed [])
+    steps;
+  true
+
+let gen_steps ~max_round =
+  let open QCheck.Gen in
+  let plan_len = Array.length (Lazy.force model_plan) in
+  let req =
+    frequency
+      [
+        (8, map (fun i -> Fresh i) (int_bound (plan_len - 1)));
+        (1, return Ghost);
+        (1, map (fun j -> Quar j) (int_bound model_devices));
+        (1, return Root_q);
+        (1, return Health_q);
+        (1, return Counters_q);
+      ]
+  in
+  let reqs = list_size (int_range 1 max_round) req in
+  let step =
+    frequency
+      [
+        (6, map (fun r -> Round r) reqs);
+        (1, map2 (fun r s -> Cut (r, s)) reqs (int_bound 1_000_000));
+        (2, return Drain);
+        (1, map (fun s -> Crash s) (int_bound 1_000_000));
+      ]
+  in
+  (* every case ends in a crash, so each Ack faces at least one *)
+  map2 (fun steps seed -> steps @ [ Crash seed ]) (list_size (int_range 1 14) step)
+    (int_bound 1_000_000)
+
+(* One transport round through the payload pump, as Tcp and Netsim call it. *)
+let serve core requests =
+  Core.handle_round core (Array.map Wire.encode_request requests)
+  |> Array.map (fun p ->
+         match Wire.decode_response p with
+         | Ok r -> r
+         | Error e -> QCheck.Test.fail_reportf "undecodable response: %s" e)
+
+let prop_model ~name ~max_round =
+  QCheck.Test.make ~name ~count:150
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map step_to_string steps))
+       (gen_steps ~max_round))
+    (run_model ~serve)
+
 let () =
   Alcotest.run "server"
     [
@@ -576,6 +912,11 @@ let () =
             test_session_lost;
           Alcotest.test_case "per-device split by position" `Quick
             test_session_per_device_split;
+        ] );
+      ( "model",
+        [
+          qtest (prop_model ~name:"rounds of one" ~max_round:1);
+          qtest (prop_model ~name:"rounds of 1-16" ~max_round:16);
         ] );
       ( "world",
         [
