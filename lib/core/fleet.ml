@@ -7,17 +7,22 @@ type device_id = string
    front is gigabytes of live heap that the GC then walks on every minor
    collection — the roll-call wall ROADMAP item 2 describes. A virtual
    device is created inside the roll-call task that attests it and dropped
-   as soon as its report is in, so the live set stays O(shard width). *)
+   as soon as its report is in, so the live set stays O(shard width).
+
+   Both kinds carry the fleet's release image for their size (see
+   [release_image]): a device copies it into its memory and a verifier
+   view reads it, so neither regenerates it. *)
 type entry =
-  | Materialized of Ra_device.Device.t
-  | Virtual of Ra_device.Device.config * (Ra_device.Device.t -> unit) option
+  | Materialized of Ra_device.Device.t * Bytes.t
+  | Virtual of Ra_device.Device.config * Bytes.t * (Ra_device.Device.t -> unit) option
 
 type t = {
   master_secret : Bytes.t;
   store : Ra_cache.Store.t;
   firmware_seed : int;
+  images : (int, Bytes.t) Hashtbl.t; (* image size -> release image *)
   mutable roster : (device_id * entry) list; (* newest first *)
-  ids : (device_id, unit) Hashtbl.t; (* duplicate check in O(1), not O(roster) *)
+  entries : (device_id, entry) Hashtbl.t; (* by id: O(1) lookup and duplicate check *)
 }
 
 (* One firmware image for the whole fleet, derived from the master secret:
@@ -32,8 +37,9 @@ let create ?stripes ~master_secret () =
     master_secret;
     store = Ra_cache.Store.create ?stripes ();
     firmware_seed = Ra_crypto.Bytesutil.load32_be digest 0;
+    images = Hashtbl.create 2;
     roster = [];
-    ids = Hashtbl.create 64;
+    entries = Hashtbl.create 64;
   }
 
 let derive_key t id =
@@ -43,38 +49,58 @@ let derive_key t id =
 
 let store t = t.store
 
+(* Generated once per image size, at provisioning time. Provisioning is
+   sequential, so the table is never written inside a fan-out; readers
+   only ever see the image through the entries that carry it. *)
+let release_image t ~size =
+  match Hashtbl.find_opt t.images size with
+  | Some image -> image
+  | None ->
+    let image = Ra_device.Device.firmware_image ~seed:t.firmware_seed ~size in
+    Hashtbl.replace t.images size image;
+    image
+
 let fleet_config t id config =
-  {
-    config with
-    Ra_device.Device.key = derive_key t id;
-    seed = t.firmware_seed;
-    store = Some t.store;
-  }
+  let config =
+    {
+      config with
+      Ra_device.Device.key = derive_key t id;
+      seed = t.firmware_seed;
+      store = Some t.store;
+    }
+  in
+  (config, release_image t ~size:(config.blocks * config.block_size))
 
 let register t id entry =
-  if Hashtbl.mem t.ids id then invalid_arg "Fleet.provision: duplicate id";
-  Hashtbl.replace t.ids id ();
+  if Hashtbl.mem t.entries id then invalid_arg "Fleet.provision: duplicate id";
+  Hashtbl.replace t.entries id entry;
   t.roster <- (id, entry) :: t.roster
 
 let provision t id ?(config = Ra_device.Device.default_config) () =
-  let device = Ra_device.Device.create (fleet_config t id config) in
-  register t id (Materialized device);
+  let config, image = fleet_config t id config in
+  let device = Ra_device.Device.create ~image config in
+  register t id (Materialized (device, image));
   device
 
 let provision_virtual t id ?(config = Ra_device.Device.default_config) ?tamper () =
-  register t id (Virtual (fleet_config t id config, tamper))
+  let config, image = fleet_config t id config in
+  register t id (Virtual (config, image, tamper))
 
-let materialize (_, entry) =
-  match entry with
-  | Materialized device -> device
-  | Virtual (config, tamper) ->
-    let device = Ra_device.Device.create config in
+let materialize = function
+  | Materialized (device, _) -> device
+  | Virtual (config, image, tamper) ->
+    let device = Ra_device.Device.create ~image config in
     Option.iter (fun f -> f device) tamper;
     device
 
-let device t id = materialize (id, List.assoc id t.roster)
+let device t id = materialize (Hashtbl.find t.entries id)
 
-let verifier_for t id = Verifier.of_device (device t id)
+let view = function
+  | Materialized (device, image) ->
+    Verifier.of_config ~expected_image:image device.Ra_device.Device.config
+  | Virtual (config, image, _) -> Verifier.of_config ~expected_image:image config
+
+let verifier_for t id = view (Hashtbl.find t.entries id)
 
 let enrolled t = List.rev_map fst t.roster
 
@@ -135,7 +161,7 @@ let segment_count n = (n + segment_size - 1) / segment_size
    hold the device itself — materialized or virtual, the entry is dropped
    when the task returns. *)
 let attest_entry mp_config ~net_delay (id, entry) =
-  let dev = materialize (id, entry) in
+  let dev = materialize entry in
   let memo_hits cache =
     match cache with
     | None -> 0
@@ -144,7 +170,7 @@ let attest_entry mp_config ~net_delay (id, entry) =
   let hits0 = memo_hits dev.Ra_device.Device.cache in
   let verdict = ref None in
   let mac = ref Bytes.empty in
-  let verifier = Verifier.of_device dev in
+  let verifier = view entry in
   Protocol.on_demand dev verifier mp_config ~net_delay
     ~auth_time:(Timebase.us 200)
     ~on_done:(fun events ->

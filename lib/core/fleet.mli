@@ -12,7 +12,13 @@
     simulators live. Both aggregate evidence hierarchically: device
     reports are reduced to fixed-width segment Merkle roots and those to
     one fleet root, which is bit-identical for any [jobs], any [shards],
-    and across the two entry points. *)
+    and across the two entry points.
+
+    Every member runs one release, so the fleet generates the firmware
+    image once per image size, at provisioning, and every roster entry
+    carries that one buffer: devices copy it into their memory and
+    verifier views only read it. A roll call therefore pays for
+    measurement and verification, not for regenerating firmware. *)
 
 open Ra_sim
 
@@ -37,10 +43,10 @@ val store : t -> Ra_cache.Store.t
 val provision :
   t -> device_id -> ?config:Ra_device.Device.config -> unit -> Ra_device.Device.t
 (** Build a device whose key is the derived key and whose firmware seed is
-    the fleet-wide seed (all provisioned devices run the same release);
-    registers the device in the roster. The [config] fields [key], [seed]
-    and [store] are overridden. Raises [Invalid_argument] if the id is
-    already enrolled. *)
+    the fleet-wide seed (all provisioned devices run the same release,
+    copied from the fleet's shared image); registers the device in the
+    roster. The [config] fields [key], [seed] and [store] are overridden.
+    Raises [Invalid_argument] if the id is already enrolled. *)
 
 val provision_virtual :
   t ->
@@ -60,8 +66,10 @@ val provision_virtual :
     matters. Same key/seed/store overrides as {!provision}. *)
 
 val verifier_for : t -> device_id -> Verifier.t
-(** The verifier view (expected image + derived key) for an enrolled
-    device. Raises [Not_found] for unknown ids. *)
+(** A fresh verifier view (the fleet's shared release image + derived key)
+    for an enrolled device, built from its provisioning data: it neither
+    materializes a virtual entry nor regenerates the image. Raises
+    [Not_found] for unknown ids. *)
 
 val enrolled : t -> device_id list
 (** Roster, in enrolment order. *)

@@ -71,7 +71,8 @@ val mac_over_digests :
 (** Same MAC, fed precomputed per-block digests ([digests.(i)] pairs with
     [order.(i)]); used by callers that obtain digests from a cache.
     [?sched] supplies a precomputed key schedule (it must match [hash]
-    and [key]) so batch verification derives the key state once. *)
+    and [key]); {!Verifier} passes the one it caches per hash, so a warm
+    verify skips the key setup. *)
 
 val block_digest : Ra_device.Device.t -> Ra_crypto.Algo.hash -> int -> Bytes.t
 (** Digest of one block of the device's memory, served through the device's

@@ -11,6 +11,9 @@ type t = {
      memoised: their expected content varies per report. *)
   memo : (Ra_crypto.Algo.hash * int, Bytes.t) Hashtbl.t;
   store : Ra_cache.Store.t option;
+  (* MAC key schedules, derived on first use per hash: every later report
+     starts its MAC from a state copy instead of re-deriving the key. *)
+  scheds : (Ra_crypto.Algo.hash, Ra_crypto.Mac_stream.key_schedule) Hashtbl.t;
 }
 
 type verdict = Clean | Tampered
@@ -28,19 +31,20 @@ let create ?store ~key ~expected_image ~block_size ~data_blocks ~zero_data () =
     zero_data;
     memo = Hashtbl.create 64;
     store;
+    scheds = Hashtbl.create 1;
   }
+
+let of_config ~expected_image (config : Ra_device.Device.config) =
+  create ?store:config.store ~key:config.key ~expected_image
+    ~block_size:config.block_size ~data_blocks:config.data_blocks
+    ~zero_data:false ()
 
 let of_device device =
   let config = device.Ra_device.Device.config in
-  let size = config.Ra_device.Device.blocks * config.Ra_device.Device.block_size in
-  create
-    ?store:config.Ra_device.Device.store
-    ~key:config.Ra_device.Device.key
+  of_config config
     ~expected_image:
-      (Ra_device.Device.firmware_image ~seed:config.Ra_device.Device.seed ~size)
-    ~block_size:config.Ra_device.Device.block_size
-    ~data_blocks:config.Ra_device.Device.data_blocks
-    ~zero_data:false ()
+      (Ra_device.Device.firmware_image ~seed:config.seed
+         ~size:(config.blocks * config.block_size))
 
 let with_zero_data t zero_data = { t with zero_data }
 
@@ -63,13 +67,21 @@ let digest_content_many t hash contents =
   | Some store -> Array.map snd (Ra_cache.Store.digest_many store hash contents)
   | None -> Ra_crypto.Algo.digest_many hash contents
 
+let key_schedule t hash =
+  match Hashtbl.find_opt t.scheds hash with
+  | Some s -> s
+  | None ->
+    let s = Ra_crypto.Mac_stream.schedule hash ~key:t.key in
+    Hashtbl.add t.scheds hash s;
+    s
+
 (* Expected digests for a whole report are gathered as one batch: memo
    probes and data-copy resolution first, then a single batch digest for
    everything still unknown. Mirrors the prover's batch path, so both
    sides of a fleet drive the shared store exclusively through its
    single-lock batch entry point — and the store counters still land
    exactly as the per-block calls would have. *)
-let expected_mac_with ?sched t report =
+let expected_mac t report =
   let blocks = Bytes.length t.expected_image / t.block_size in
   if not (valid_order report.Report.order blocks) then None
   else begin
@@ -112,45 +124,22 @@ let expected_mac_with ?sched t report =
           digests.(i) <- Some fresh.(k))
         idxs;
       Some
-        (Mp.mac_over_digests ?sched ~hash ~key:t.key
+        (Mp.mac_over_digests ~sched:(key_schedule t hash) ~hash ~key:t.key
            ~nonce:report.Report.nonce ~counter:report.Report.counter
            ~order:report.Report.order
            ~digests:(Array.map Option.get digests) ())
     end
   end
 
-let expected_mac t report = expected_mac_with t report
-
-let mac_matches ?sched t report =
-  match expected_mac_with ?sched t report with
+let mac_matches t report =
+  match expected_mac t report with
   | None -> false
   | Some mac -> Ra_crypto.Bytesutil.constant_time_equal mac report.Report.mac
 
-let verify_with ?sched t report =
+let verify t report =
   let blocks = Bytes.length t.expected_image / t.block_size in
-  if Array.length report.Report.order = blocks && mac_matches ?sched t report
-  then Clean
+  if Array.length report.Report.order = blocks && mac_matches t report then Clean
   else Tampered
-
-let verify t report = verify_with t report
-
-(* Batch verification: one key-schedule derivation per hash algorithm in
-   the batch (almost always exactly one), shared across every report;
-   expected digests already flow batch-wise per report. Each tag compare
-   stays constant-time. *)
-let verify_many t reports =
-  let scheds = Hashtbl.create 2 in
-  let sched_for hash =
-    match Hashtbl.find_opt scheds hash with
-    | Some s -> s
-    | None ->
-      let s = Ra_crypto.Mac_stream.schedule hash ~key:t.key in
-      Hashtbl.add scheds hash s;
-      s
-  in
-  Array.map
-    (fun report -> verify_with ~sched:(sched_for report.Report.hash) t report)
-    reports
 
 let verify_region t ~region report =
   let sorted a =

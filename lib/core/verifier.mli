@@ -25,7 +25,14 @@ val create :
 (** Expected code-block digests are memoised inside the verifier, and when
     [store] is given they are resolved through the fleet-wide
     content-addressed store — so a clean device's blocks are hashed once
-    across prover and verifier, not twice. *)
+    across prover and verifier, not twice. The MAC key schedule is derived
+    once per hash, on first use, and reused by every later report. *)
+
+val of_config : expected_image:Bytes.t -> Ra_device.Device.config -> t
+(** The verifier's view from provisioning data alone: [config]'s key,
+    store and data-region map over [expected_image], which must equal
+    [Ra_device.Device.firmware_image ~seed:config.seed ~size] and is only
+    read, so a fleet can share one image across every view. *)
 
 val of_device : Ra_device.Device.t -> t
 (** Build the verifier's view from the same provisioning data as the device
@@ -41,13 +48,6 @@ val expected_mac : t -> Report.t -> Bytes.t option
 
 val verify : t -> Report.t -> verdict
 (** Requires the report to cover all blocks (its order is a permutation). *)
-
-val verify_many : t -> Report.t array -> verdict array
-(** Batch {!verify}: derives the MAC key schedule once per hash algorithm
-    in the batch and shares it across all reports; expected block digests
-    are gathered batch-wise per report (one store lock acquisition,
-    interleaved hashing of misses). Verdicts are bit-identical to mapping
-    {!verify}; every tag compare stays constant-time. *)
 
 val verify_region : t -> region:int list -> Report.t -> verdict
 (** Per-process (TyTAN-style) verification: the report must cover exactly

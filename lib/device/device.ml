@@ -48,7 +48,7 @@ let firmware_image ~seed ~size =
   let rng = Prng.create ~seed:(seed lxor 0x46495257 (* "FIRW" *)) in
   Prng.bytes rng size
 
-let create config =
+let create ?image config =
   if config.blocks <= 0 then invalid_arg "Device.create: no blocks";
   List.iter
     (fun b ->
@@ -56,7 +56,13 @@ let create config =
         invalid_arg "Device.create: data block out of range")
     config.data_blocks;
   let engine = Engine.create ~seed:config.seed () in
-  let image = firmware_image ~seed:config.seed ~size:(config.blocks * config.block_size) in
+  let size = config.blocks * config.block_size in
+  let image =
+    match image with
+    | None -> firmware_image ~seed:config.seed ~size
+    | Some image when Bytes.length image = size -> image
+    | Some _ -> invalid_arg "Device.create: image size differs from blocks * block_size"
+  in
   {
     engine;
     cpu = Cpu.create engine;

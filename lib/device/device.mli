@@ -39,9 +39,16 @@ type t = private {
   mutable reboot_hooks : (unit -> unit) list;
 }
 
-val create : config -> t
+val create : ?image:Bytes.t -> config -> t
 (** The firmware image is generated deterministically from [seed]; the
-    verifier reconstructs the same image from the same seed. *)
+    verifier reconstructs the same image from the same seed.
+
+    [image] supplies that image ready-made, so a fleet running one release
+    generates it once instead of once per device. It must equal
+    [firmware_image ~seed:config.seed ~size:(config.blocks *
+    config.block_size)]; only its length is checked ([Invalid_argument]
+    otherwise). It is copied into {!Memory} and never mutated, so one
+    buffer can back any number of devices and verifier views. *)
 
 val firmware_image : seed:int -> size:int -> Bytes.t
 (** The deterministic benign image generator shared with the verifier. *)

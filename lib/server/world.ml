@@ -7,8 +7,8 @@ open Ra_core
    has never seen without any key exchange, exactly like a fleet enrolled
    at manufacture time.
 
-   The views are built once, in [build], over one shared copy of the fleet
-   firmware image, and live as long as the world: each view's memo of
+   The views are built once, in [build], over the fleet's one release
+   image, and live as long as the world: each view's memo of
    expected code-block digests then persists across reports, so a warm
    verify costs one HMAC and no roster walk or image regeneration. *)
 
@@ -45,24 +45,11 @@ let build ~devices ~seed =
   if devices < 1 then invalid_arg "World.build: devices < 1";
   let fleet = Fleet.create ~master_secret:(master_secret ~seed) () in
   let roster = Array.init devices device_id in
-  let provisioned =
-    Array.map (fun id -> Fleet.provision fleet id ~config:device_config ()) roster
-  in
-  (* Every member runs the fleet release, so one image serves every view;
-     [Verifier.of_device] would regenerate it per device. *)
-  let views =
-    let open Ra_device.Device in
-    let image =
-      firmware_image ~seed:provisioned.(0).config.seed
-        ~size:(device_config.blocks * device_config.block_size)
-    in
-    Array.map
-      (fun device ->
-        let c = device.config in
-        Verifier.create ?store:c.store ~key:c.key ~expected_image:image
-          ~block_size:c.block_size ~data_blocks:c.data_blocks ~zero_data:false ())
-      provisioned
-  in
+  (* The server never runs the provers, so members are enrolled by recipe:
+     each view is built from the derived key and the fleet's one release
+     image, with no device simulator behind it. *)
+  Array.iter (fun id -> Fleet.provision_virtual fleet id ~config:device_config ()) roster;
+  let views = Array.map (Fleet.verifier_for fleet) roster in
   let index = Hashtbl.create (2 * devices) in
   Array.iteri (fun i id -> Hashtbl.replace index id i) roster;
   let entries =

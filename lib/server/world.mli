@@ -23,7 +23,10 @@ val device_config : Ra_device.Device.config
     blocks, 1 MiB modeled). *)
 
 val build : devices:int -> seed:int -> t
-(** Provision the roster. Raises [Invalid_argument] when [devices < 1]. *)
+(** Enrol the roster and build one verifier view per device over the
+    fleet's one release image. Members are enrolled virtually: the server
+    runs no provers, so no device simulator is built. Raises
+    [Invalid_argument] when [devices < 1]. *)
 
 val fleet : t -> Fleet.t
 val devices : t -> int

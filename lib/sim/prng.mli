@@ -6,7 +6,11 @@
     stdlib [Random] implementation. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: {!bits64}, {!int} with a
+    power-of-two bound and {!bytes} allocate nothing beyond their result
+    (a boxed [int64] for {!bits64} when it is not inlined, the output
+    buffer for {!bytes}). Every stream is pinned bit for bit by
+    known-answer tests, so no layout change may alter a seeded run. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator whose whole stream is a pure function
@@ -24,7 +28,8 @@ val bits64 : t -> int64
 
 val int : t -> bound:int -> int
 (** [int g ~bound] is uniform in [\[0, bound)]. [bound] must be positive.
-    Uses rejection sampling, so the distribution is exactly uniform. *)
+    A power-of-two bound masks one draw; any other bound uses rejection
+    sampling, so the distribution is exactly uniform either way. *)
 
 val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)
@@ -44,15 +49,17 @@ val permutation : t -> int -> int array
 (** [permutation g n] is a uniformly random permutation of [0 .. n-1]. *)
 
 val bytes : t -> int -> Bytes.t
-(** [bytes g n] is [n] uniformly random bytes. *)
+(** [bytes g n] is [n] uniformly random bytes: byte [i] is the low 8 bits
+    of the [i]-th draw, the same stream as [n] calls of [int ~bound:256]. *)
 
 val state_bytes : int
 (** Size of the serialized state: 32 bytes. *)
 
 val to_bytes : t -> Bytes.t
-(** The full generator state, big-endian. With {!set_bytes} this lets a
-    recovered supervisor resume a stream exactly where a crashed one
-    left off. *)
+(** The full generator state as [s0..s3], each big-endian, whatever the
+    in-memory layout: Breaker snapshots journal this image. With
+    {!set_bytes} this lets a recovered supervisor resume a stream exactly
+    where a crashed one left off. *)
 
 val set_bytes : t -> Bytes.t -> unit
 (** Overwrite the state in place from a {!to_bytes} image. Raises

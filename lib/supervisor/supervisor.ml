@@ -339,7 +339,7 @@ let create ?(config = default_config) ?journal fleet =
            {
              id;
              device;
-             verifier = Verifier.of_device device;
+             verifier = Fleet.verifier_for fleet id;
              machine = Health.create ();
              brk = Breaker.create ~config:config.breaker ~rng ();
              rtt =

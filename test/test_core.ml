@@ -1151,6 +1151,52 @@ let test_fleet_cross_device_key_rejected () =
   check Alcotest.bool "sibling verifier rejects" true
     (Verifier.verify (Fleet.verifier_for fleet "b") report = Verifier.Tampered)
 
+(* Every member shares the fleet's one release image buffer. A write that
+   reached it through any device would change later materializations and
+   every verifier's expectation, so repeated roll calls over tampered
+   fleets are the aliasing check. *)
+let test_fleet_repeat_roll_call () =
+  let devices = 2100 in
+  let fleet = Ra_experiments.Fleet_roll.build ~devices ~seed:3 in
+  let roll () = Fleet.sharded_roll_call fleet ~jobs:2 ~shards:2 Mp.default_config in
+  let a = roll () in
+  let b = roll () in
+  check Alcotest.int "tampered devices found"
+    (Ra_experiments.Fleet_roll.expected_tampered devices)
+    (List.length a.Fleet.tampered);
+  check (Alcotest.list Alcotest.string) "same tampered set" a.Fleet.tampered
+    b.Fleet.tampered;
+  check Alcotest.bytes "same fleet root" a.Fleet.fleet_root b.Fleet.fleet_root;
+  check (Alcotest.array Alcotest.bytes) "same shard roots" a.Fleet.shard_roots
+    b.Fleet.shard_roots
+
+let test_fleet_devices_share_no_memory () =
+  let fleet = Fleet.create ~master_secret:(Bytes.of_string "fleet-master") () in
+  let config =
+    { Ra_device.Device.default_config with Ra_device.Device.block_size = 128; blocks = 8 }
+  in
+  let a = Fleet.provision fleet "a" ~config () in
+  let b = Fleet.provision fleet "b" ~config () in
+  Fleet.provision_virtual fleet "v" ~config ();
+  let v1 = Fleet.device fleet "v" in
+  let seed = b.Device.config.Device.seed in
+  let release = Device.firmware_image ~seed ~size:(8 * 128) in
+  let junk = Bytes.make 128 '\xee' in
+  List.iter
+    (fun d ->
+      match Memory.set_block d.Device.memory ~time:Timebase.zero ~block:2 junk with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "block unexpectedly locked")
+    [ a; v1 ];
+  check Alcotest.bytes "sibling memory untouched" release (Memory.snapshot b.Device.memory);
+  check Alcotest.bytes "fresh virtual instance untouched" release
+    (Memory.snapshot (Fleet.device fleet "v").Device.memory);
+  check Alcotest.bytes "release image unchanged" release
+    (Device.firmware_image ~seed ~size:(8 * 128));
+  let verdict id device = Verifier.verify (Fleet.verifier_for fleet id) (run_mp device) in
+  check Alcotest.bool "written device is tampered" true (verdict "a" a = Verifier.Tampered);
+  check Alcotest.bool "sibling still clean" true (verdict "b" b = Verifier.Clean)
+
 (* --- assorted edge cases --------------------------------------------------------------------- *)
 
 let test_report_decode_bad_enums () =
@@ -1368,6 +1414,9 @@ let () =
           Alcotest.test_case "duplicate rejected" `Quick test_fleet_duplicate_rejected;
           Alcotest.test_case "cross-device key rejected" `Quick
             test_fleet_cross_device_key_rejected;
+          Alcotest.test_case "repeat roll call" `Quick test_fleet_repeat_roll_call;
+          Alcotest.test_case "devices share no memory" `Quick
+            test_fleet_devices_share_no_memory;
         ] );
       ( "edge cases",
         [

@@ -425,10 +425,21 @@ let test_device_firmware_deterministic () =
   check Alcotest.bytes "same seed same image" a b;
   check Alcotest.bool "different seed different image" false (Bytes.equal a c)
 
+(* Every fleet, world and experiment derives its expected image from this
+   generator, so its output is pinned, not just its determinism. *)
+let test_device_firmware_known_answer () =
+  check Alcotest.string "sha256 of firmware_image ~seed:1 ~size:4096"
+    "1889520b68cd30419be28f1c0d3b7e55953b7c99c991b2464952102f65565a53"
+    (Ra_crypto.Bytesutil.to_hex
+       (Ra_crypto.Sha256.digest (Device.firmware_image ~seed:1 ~size:4096)))
+
 let test_device_validation () =
   Alcotest.check_raises "data block out of range"
     (Invalid_argument "Device.create: data block out of range") (fun () ->
-      ignore (Device.create { Device.default_config with Device.data_blocks = [ 64 ] }))
+      ignore (Device.create { Device.default_config with Device.data_blocks = [ 64 ] }));
+  Alcotest.check_raises "release image of the wrong size"
+    (Invalid_argument "Device.create: image size differs from blocks * block_size")
+    (fun () -> ignore (Device.create ~image:(image 512) Device.default_config))
 
 (* --- App --------------------------------------------------------------------------- *)
 
@@ -583,6 +594,7 @@ let () =
         [
           Alcotest.test_case "create" `Quick test_device_create;
           Alcotest.test_case "deterministic firmware" `Quick test_device_firmware_deterministic;
+          Alcotest.test_case "firmware known answer" `Quick test_device_firmware_known_answer;
           Alcotest.test_case "validation" `Quick test_device_validation;
         ] );
       ( "app",

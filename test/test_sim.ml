@@ -110,6 +110,86 @@ let test_prng_bytes () =
   Bytes.iter (fun c -> Hashtbl.replace seen c ()) b;
   check Alcotest.bool "byte diversity" true (Hashtbl.length seen > 150)
 
+(* Known answers: any change to the state layout or the draw paths must
+   reproduce the stream bit for bit, because every seeded experiment,
+   golden render and journal in the repository is a function of it. *)
+let test_prng_known_bits64 () =
+  let expect seed values =
+    let g = Prng.create ~seed in
+    List.iteri
+      (fun i v -> check Alcotest.int64 (Printf.sprintf "seed %d draw %d" seed i) v (Prng.bits64 g))
+      values
+  in
+  expect 0
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+      7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+      7788427924976520344L; -8565655843838424513L ];
+  expect 123
+    [ 3628370374969813497L; -561292132998099618L; 8622752019489400367L;
+      2342437615205057030L; 6230968350287952094L; -1710872939911062L;
+      6972174322906985755L; -6333738554522461611L ]
+
+let test_prng_known_draws () =
+  let draws f = let g = Prng.create ~seed:7 in List.init 16 (fun _ -> f g) in
+  check Alcotest.(list int) "int ~bound:10 (rejection path)"
+    [ 6; 0; 6; 2; 2; 9; 6; 6; 4; 9; 5; 8; 5; 9; 6; 5 ]
+    (draws (fun g -> Prng.int g ~bound:10));
+  check Alcotest.(list int) "int ~bound:256 (mask path)"
+    [ 90; 210; 150; 64; 24; 73; 84; 220; 32; 99; 151; 216; 209; 23; 186; 75 ]
+    (draws (fun g -> Prng.int g ~bound:256));
+  let g = Prng.create ~seed:7 in
+  check Alcotest.(list (float 0.)) "float"
+    [ 0x1.66b1f5ee9df2ep-1; 0x1.1d70f6593d20ap-2; 0x1.ade3a6932a58fp-1;
+      0x1.f65270e63d00ep-1 ]
+    (List.init 4 (fun _ -> Prng.float g));
+  check Alcotest.string "64-byte bytes draw"
+    "5ad29640184954dc206397d8d117ba4bbf9e3bad79ac3daa6a60e3670b5de4da\
+     b02fbeba1e6b367a446a0badf30392358da22aeaf1669bc1b07e26213c546ea2"
+    (Ra_crypto.Bytesutil.to_hex (Prng.bytes (Prng.create ~seed:7) 64));
+  let g = Prng.create ~seed:7 in
+  let s = Prng.split g in
+  check Alcotest.(list int64) "split stream"
+    [ -8059526196404348414L; 3499881761976048217L; 6843002615400850109L;
+      -1925146921912509263L ]
+    (List.init 4 (fun _ -> Prng.bits64 s));
+  check Alcotest.int64 "parent after split" 5142052590334782674L (Prng.bits64 g);
+  let g = Prng.create ~seed:7 in
+  ignore (Prng.bits64 g);
+  (* big-endian s0..s3: the layout Breaker snapshots journal *)
+  check Alcotest.string "to_bytes image"
+    "f2bd3643ca304200811f9db317bf41c9fcfc491c2fbb27d549faf22edaf4f260"
+    (Ra_crypto.Bytesutil.to_hex (Prng.to_bytes g))
+
+(* Allocation budget: draws run in the simulators' innermost loops (every
+   firmware image is [Prng.bytes]), so the state must stay unboxed. Counts
+   every word allocated, minor or direct-to-major (a 4 KiB buffer is the
+   latter). *)
+let allocated_words f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let test_prng_allocation_budget () =
+  let g = Prng.create ~seed:11 in
+  let sink = ref 0 in
+  let draws =
+    allocated_words (fun () ->
+        for _ = 1 to 10_000 do
+          sink := !sink lxor Prng.int g ~bound:256
+        done)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "10k int ~bound:256 draws allocate ~0 words (%.0f)" draws)
+    true (draws < 64.);
+  let out = ref Bytes.empty in
+  let words = allocated_words (fun () -> out := Prng.bytes g 4096) in
+  let buffer = float_of_int ((4096 / (Sys.word_size / 8)) + 2) in
+  check Alcotest.bool
+    (Printf.sprintf "bytes 4096 allocates its buffer and a few words (%.0f, buffer %.0f)"
+       words buffer)
+    true (words <= buffer +. 64.);
+  ignore (Sys.opaque_identity (!sink, !out))
+
 (* The queue's ordering contract: the pop sequence equals a stable sort
    of the pushed entries by (key, seq). *)
 let prop_eventq_stable_sort =
@@ -423,6 +503,9 @@ let () =
           Alcotest.test_case "bernoulli" `Quick test_prng_bernoulli;
           Alcotest.test_case "exponential" `Quick test_prng_exponential_mean;
           Alcotest.test_case "bytes" `Quick test_prng_bytes;
+          Alcotest.test_case "known bits64" `Quick test_prng_known_bits64;
+          Alcotest.test_case "known draws" `Quick test_prng_known_draws;
+          Alcotest.test_case "allocation budget" `Quick test_prng_allocation_budget;
           qtest prop_int_in_bounds;
           qtest prop_float_unit_interval;
           qtest prop_permutation_valid;
